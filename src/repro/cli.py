@@ -15,23 +15,17 @@ the equivalent front door:
   ``.npz`` bundle or a named dataset shape;
 - ``repro characterize``— the hardware study (instruction mixes, GPU
   stalls, thread scaling) on a synthetic ER graph;
-- ``repro serve-sim``   — the online serving simulation: build
-  embeddings, stand up the in-process serving frontend
-  (:mod:`repro.serving`), drive it with a closed-loop load generator,
-  optionally appending edge batches + incremental updates mid-run;
-- ``repro stream-sim``  — the durable streaming-ingest simulation: a
-  generator thread feeds edge batches through a bounded ingest queue
-  into the :class:`~repro.stream.controller.StreamController` (WAL
-  append, then graph apply, then policy-driven embedding refresh)
-  while the serving frontend takes query load; ``--replay-only``
-  recovers and reports a previous run's WAL, which is how the CI
-  stream-smoke job verifies crash recovery;
-- ``repro pipeline-sim`` — the end-to-end stream→serve loop: ingest
-  queue + optional WAL + policy-driven incremental refresh fanned out
-  to the replicated sharded tier (:mod:`repro.serving.sharding`) under
-  :class:`~repro.serving.controlplane.ControlPlane` supervision, all
-  while a closed-loop load generator queries the tier; chaos kills are
-  auto-respawned by the control plane.
+- ``repro serve-sim`` / ``stream-sim`` / ``pipeline-sim`` — three
+  presets of one stream→serve deployment (:func:`cmd_sim`): a seed
+  graph and incremental embedder, live edge batches through the ingest
+  queue into the :class:`~repro.stream.controller.StreamController`
+  (WAL-first when a WAL is configured), the local micro-batched or the
+  replicated sharded serving tier (:mod:`repro.serving`), optional
+  control plane and chaos drills, and a closed-loop load generator.
+  The presets differ only in data: the stream split, which flags they
+  expose, and their defaults (see ``_SIM_PRESETS``).
+  ``stream-sim --replay-only`` recovers and reports a previous run's
+  WAL, which is how the CI stream-smoke job verifies crash recovery.
 
 Every command takes ``--seed`` and the pipeline hyperparameters the
 artifact exposes (walks, walk length, dimension, epochs...).  Run
@@ -41,17 +35,28 @@ artifact exposes (walks, walk length, dimension, epochs...).  Run
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
-from contextlib import contextmanager
+import threading
+import time
+from contextlib import contextmanager, nullcontext
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.bench.tables import render_table
 from repro.embedding.trainer import SgnsConfig
-from repro.errors import ReproError
-from repro.graph import TemporalGraph, compute_stats, generators
+from repro.errors import ReproError, ServingError
+from repro.graph import (
+    TemporalEdgeList,
+    TemporalGraph,
+    compute_stats,
+    generators,
+)
 from repro.graph.io import LabeledTemporalDataset, read_wel, write_wel
 from repro.observability import Recorder, get_recorder, use_recorder
 from repro.parallel import SupervisorConfig
+from repro.stream.wal import DEFAULT_SEGMENT_MAX_BYTES
 from repro.tasks.link_prediction import LinkPredictionConfig
 from repro.tasks.node_classification import NodeClassificationConfig
 from repro.tasks.pipeline import Pipeline, PipelineConfig
@@ -373,22 +378,202 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_sim(args: argparse.Namespace) -> int:
-    """``repro serve-sim``: closed-loop online serving simulation."""
-    import itertools
-    import threading
-    import time as time_mod
+# ---------------------------------------------------------------------------
+# The stream→serve deployment: one assembly, three presets
+# ---------------------------------------------------------------------------
 
-    import numpy as np
 
-    from repro.graph import DynamicTemporalGraph
-    from repro.serving import (
-        EmbeddingStore,
-        ServingConfig,
-        ServingFrontend,
-        run_load,
+def _split_stream(
+    ordered: TemporalEdgeList, fraction: float, batches: int
+) -> tuple[TemporalEdgeList, list[TemporalEdgeList]]:
+    """Cut a time-sorted stream into a seed graph and live batches.
+
+    The first ``fraction`` of the edges seed the graph and the tail is
+    cut into ``batches`` equal steps, the last taking the remainder.
+    Steps that would start past the end of a short tail are dropped, so
+    there may be fewer live batches than asked for.  With ``batches <
+    1`` the whole stream seeds the graph.
+    """
+    n = len(ordered)
+    batches = max(batches, 0)
+    cut = int(fraction * n) if batches else n
+    step = max(1, (n - cut) // max(batches, 1))
+    bounds = [min(cut + i * step, n) for i in range(batches)] + [n]
+    live = [ordered.take(np.arange(lo, hi))
+            for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    return ordered.take(np.arange(cut)), live
+
+
+def _refresh_policy(args: argparse.Namespace):
+    """The StreamController refresh policy named by --refresh-policy."""
+    from repro.stream import AffectedFraction, EveryNEdges, MaxStaleness
+
+    return {
+        "every-n": lambda: EveryNEdges(args.refresh_edges),
+        "staleness": lambda: MaxStaleness(args.staleness_seconds),
+        "affected": lambda: AffectedFraction(args.affected_fraction),
+    }[args.refresh_policy]()
+
+
+def _chaos_plan(args: argparse.Namespace,
+                sharded: bool) -> tuple[int, int, float] | None:
+    """Check the sharded-tier-only knobs and parse ``--kill-replica
+    SHARD[:REPLICA[:DELAY_S]]`` into ``(shard, replica, delay)``.
+
+    Runs before the embedding build, so a bad flag fails fast instead
+    of after minutes of walks and SGNS.
+    """
+    if not sharded:
+        for flag, used in (("--kill-replica", args.kill_replica is not None),
+                           ("--autoscale", args.autoscale),
+                           ("--rebalance-every", args.rebalance_every > 0)):
+            if used:
+                raise ServingError(
+                    f"{flag} needs the sharded tier (--shards > 1)")
+    spec = args.kill_replica
+    if spec is None:
+        return None
+    parts = spec.split(":")
+    try:
+        if len(parts) > 3:
+            raise ValueError(spec)
+        shard = int(parts[0])
+        replica = int(parts[1]) if len(parts) > 1 else 0
+        delay = float(parts[2]) if len(parts) > 2 else 0.2
+    except ValueError:
+        raise ServingError(
+            f"--kill-replica expects SHARD[:REPLICA[:DELAY_S]], "
+            f"got {spec!r}") from None
+    for name, value, bound in (("shard", shard, args.shards),
+                               ("replica", replica, args.replicas)):
+        if not 0 <= value < bound:
+            raise ServingError(f"--kill-replica {name} {value} out of "
+                               f"range [0, {bound})")
+    if delay < 0:
+        raise ServingError(f"--kill-replica delay must be >= 0, got {delay}")
+    return shard, replica, delay
+
+
+@contextmanager
+def _local_tier(args: argparse.Namespace, store) -> Iterator:
+    """The in-process micro-batched frontend over ``store``."""
+    from repro.serving import ServingConfig, ServingFrontend
+
+    config = ServingConfig(
+        max_batch_size=args.max_batch_size,
+        max_delay=args.max_delay_ms / 1e3,
+        default_k=args.k,
+        cache_size=args.cache_size,
+        index=args.index,
+        ann=_ann_config(args),
     )
+    with ServingFrontend(store, config) as frontend:
+        if frontend.ann is not None:
+            # Serve the seed snapshot from the IVF index from the first
+            # request (later publishes rebuild async).
+            ready = frontend.ann.wait_ready(timeout=60.0)
+            index = frontend.ann.current
+            if ready and index is not None:
+                print(f"  ann: IVF index v{index.version} — {index.nlist} "
+                      f"cells, nprobe {index.nprobe}, "
+                      f"{index.nbytes / 1e6:.2f} MB, built in "
+                      f"{index.build_seconds:.3f}s")
+            else:
+                print("  ann: index not ready, serving exact fallback "
+                      "until the build lands")
+        yield frontend
+
+
+@contextmanager
+def _sharded_tier(args: argparse.Namespace, store) -> Iterator:
+    """The replicated scatter/gather tier, fed every ``store`` publish."""
+    from repro.serving import (
+        ShardPlan,
+        ShardedFrontend,
+        ShardedPublisher,
+        ShardedServingConfig,
+    )
+
+    plan = ShardPlan(args.shards, args.shard_plan)
+    config = ShardedServingConfig(
+        default_k=args.k,
+        cache_size=args.cache_size,
+        index=args.index,
+        ann=_ann_config(args),
+        replication_factor=args.replicas,
+    )
+    with ShardedFrontend(plan, config) as frontend:
+        publisher = ShardedPublisher(frontend)
+        # Installs the warm snapshot now and fans out every refresh.
+        publisher.attach(store)
+        print(f"  shards: {plan.num_shards} x {args.replicas} workers "
+              f"({plan.strategy} plan), serving version {frontend.version}")
+        yield frontend
+        # Pull worker-internal recorder state back to the router before
+        # the workers go away.
+        frontend.worker_metrics()
+        publisher.detach()
+
+
+def _chaos_threads(args: argparse.Namespace, frontend,
+                   kill: tuple[int, int, float] | None,
+                   stop: threading.Event) -> list[threading.Thread]:
+    """The --kill-replica and --rebalance-every drills (not started)."""
+    from repro.serving import ShardPlan
+
+    threads = []
+    if kill is not None:
+        shard_id, replica, delay = kill
+
+        def killer() -> None:
+            if not stop.wait(delay):
+                frontend.kill_replica(shard_id, replica)
+                print(f"  chaos: killed shard {shard_id} replica "
+                      f"{replica} after {delay:.2f}s")
+
+        threads.append(threading.Thread(target=killer, daemon=True,
+                                        name="sim-kill"))
+    if args.rebalance_every > 0:
+        other = "range" if args.shard_plan == "hash" else "hash"
+
+        def rebalancer() -> None:
+            strategies = itertools.cycle([other, args.shard_plan])
+            while not stop.wait(args.rebalance_every):
+                strategy = next(strategies)
+                rebalanced = frontend.rebalance(
+                    ShardPlan(args.shards, strategy))
+                print(f"  rebalance: -> {strategy} plan in "
+                      f"{rebalanced.seconds:.3f}s "
+                      f"(drained={rebalanced.drained})")
+
+        threads.append(threading.Thread(target=rebalancer, daemon=True,
+                                        name="sim-rebalance"))
+    return threads
+
+
+def cmd_sim(args: argparse.Namespace) -> int:
+    """``repro serve-sim|stream-sim|pipeline-sim``: the stream→serve loop.
+
+    The three commands are presets (:data:`_SIM_PRESETS`) of this one
+    assembly.  It builds the deployment in stages: the source stream
+    and its split; the :class:`~repro.graph.DynamicTemporalGraph`, with
+    a :class:`~repro.stream.WriteAheadLog` when ``--wal-dir`` is given;
+    the incremental embedder; the ingest queue drained by the
+    :class:`~repro.stream.StreamController`; the serving tier (local,
+    or sharded once ``--shards`` reaches the preset's ``sharded_from``);
+    the optional control plane and chaos drills; the closed-loop load
+    run; and a report table for each stage that ran.
+    """
+    from repro.faults import FaultPlan
+    from repro.graph import DynamicTemporalGraph
+    from repro.serving import EmbeddingStore, run_load
+    from repro.stream import IngestQueue, StreamController, WriteAheadLog
     from repro.tasks.incremental import IncrementalEmbedder
+
+    if args.replay_only:
+        return _replay_wal(args.wal_dir)
+    sharded = args.shards >= args.sharded_from
+    kill = _chaos_plan(args, sharded)
 
     if args.input:
         edges = read_wel(args.input)
@@ -397,227 +582,162 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
         edges = generators.erdos_renyi_temporal(args.nodes, args.edges,
                                                 seed=args.seed)
         source = f"ER {args.nodes}x{args.edges} (synthetic)"
-    ordered = edges.sorted_by_time()
+    initial, batches = _split_stream(edges.sorted_by_time(), args.split,
+                                     args.batches)
+    policy = _refresh_policy(args)
 
-    # Hold back a tail of the stream to replay as live appends.
-    batches = []
-    if args.update_batches > 0:
-        cut = int(0.7 * len(ordered))
-        step = max(1, (len(ordered) - cut) // args.update_batches)
-        initial = ordered.take(np.arange(cut))
-        for i in range(args.update_batches):
-            stop = (cut + (i + 1) * step if i < args.update_batches - 1
-                    else len(ordered))
-            batches.append(np.arange(cut + i * step, stop))
-        batches = [ordered.take(index) for index in batches]
-    else:
-        initial = ordered
-
-    dynamic = DynamicTemporalGraph(initial)
-    store = EmbeddingStore()
-    embedder = IncrementalEmbedder(
-        dynamic,
-        walk_config=WalkConfig(num_walks_per_node=args.walks,
-                               max_walk_length=args.length, bias=args.bias),
-        sgns_config=SgnsConfig(dim=args.dim, epochs=args.w2v_epochs),
-        seed=args.seed,
-        store=store,
-        sampler=args.sampler,
-    )
+    fault_plan = FaultPlan.from_env()
     with _observability(args) as obs_recorder:
         recorder = obs_recorder if obs_recorder is not None else Recorder()
         with use_recorder(recorder):
-            build_start = time_mod.perf_counter()
-            embedder.rebuild()
-            build_seconds = time_mod.perf_counter() - build_start
-            print(f"input: {source} — {dynamic.num_nodes} nodes, "
-                  f"{dynamic.num_edges} edges; initial embeddings in "
-                  f"{build_seconds:.2f}s (generation {dynamic.generation})")
-
-            writer_error: list[BaseException] = []
-
-            def ingest() -> None:
-                try:
-                    for batch in batches:
-                        time_mod.sleep(args.update_interval)
-                        dynamic.append(batch)
-                        report = embedder.update()
-                        print(f"  ingest: generation {report.generation}, "
-                              f"{report.affected_nodes} affected nodes, "
-                              f"{report.seconds:.2f}s")
-                except BaseException as exc:  # surfaced after the run
-                    writer_error.append(exc)
-
-            load_kwargs = dict(
-                num_requests=args.requests,
-                clients=args.clients,
-                topk_fraction=args.topk_fraction,
-                k=args.k,
+            # A WAL logs the seed graph as its first batch, so
+            # --replay-only rebuilds the whole graph and the live
+            # generation sequence.  Without one the seed is generation 0.
+            wal = None
+            if args.wal_dir:
+                wal = WriteAheadLog(args.wal_dir,
+                                    segment_max_bytes=args.wal_segment_bytes,
+                                    sync=not args.no_wal_sync,
+                                    fault_plan=fault_plan)
+            dynamic = DynamicTemporalGraph(None if wal else initial)
+            if wal is not None and len(initial):
+                wal.append(initial)
+                dynamic.append(initial)
+            store = EmbeddingStore()
+            embedder = IncrementalEmbedder(
+                dynamic,
+                walk_config=WalkConfig(num_walks_per_node=args.walks,
+                                       max_walk_length=args.length,
+                                       bias=args.bias),
+                sgns_config=SgnsConfig(dim=args.dim, epochs=args.w2v_epochs),
                 seed=args.seed,
+                store=store,
+                sampler=args.sampler,
             )
-            if args.shards > 1:
-                from repro.serving import (
-                    ShardPlan,
-                    ShardedFrontend,
-                    ShardedPublisher,
-                    ShardedServingConfig,
-                )
+            build = embedder.rebuild()
+            print(f"input: {source} — {dynamic.num_nodes} nodes, "
+                  f"{dynamic.num_edges} edges initial; embeddings in "
+                  f"{build.seconds:.2f}s (generation {build.generation}); "
+                  f"{len(batches)} live batches to stream"
+                  + (f"; WAL at {args.wal_dir}" if wal is not None else ""))
 
-                plan = ShardPlan(args.shards, args.shard_plan)
-                shard_config = ShardedServingConfig(
-                    default_k=args.k,
-                    cache_size=args.cache_size,
-                    index=args.index,
-                    ann=_ann_config(args),
-                    replication_factor=args.replicas,
-                )
-                with ShardedFrontend(plan, shard_config) as frontend:
-                    publisher = ShardedPublisher(frontend)
-                    # Installs the warm snapshot now and fans out every
-                    # incremental publish the ingest thread triggers.
-                    publisher.attach(store)
-                    print(f"  shards: {plan.num_shards} x "
-                          f"{args.replicas} workers ({plan.strategy} "
-                          f"plan), serving version {frontend.version}")
-                    controlplane = (_start_controlplane(args, frontend)
-                                    if args.autoscale else None)
-                    stop_chaos = threading.Event()
-                    chaos = []
-                    if args.kill_replica is not None:
-                        shard_id, replica, delay = _parse_kill_replica(
-                            args.kill_replica, args.shards, args.replicas)
+            queue = IngestQueue(max_edges=args.queue_edges,
+                                policy=args.backpressure,
+                                rate_limit=args.rate_limit)
+            controller = StreamController(
+                dynamic, queue, wal=wal, embedder=embedder, policy=policy,
+                fault_plan=fault_plan,
+            )
 
-                        def killer() -> None:
-                            if not stop_chaos.wait(delay):
-                                frontend.kill_replica(shard_id, replica)
-                                print(f"  chaos: killed shard {shard_id} "
-                                      f"replica {replica} after "
-                                      f"{delay:.2f}s")
+            def produce() -> None:
+                for edge_batch in batches:
+                    if args.batch_interval > 0:
+                        time.sleep(args.batch_interval)
+                    queue.put(edge_batch)
 
-                        chaos.append(threading.Thread(
-                            target=killer, daemon=True,
-                            name="serve-sim-kill"))
-                    if args.rebalance_every > 0:
-                        other = ("range" if args.shard_plan == "hash"
-                                 else "hash")
-
-                        def rebalancer() -> None:
-                            strategies = itertools.cycle(
-                                [other, args.shard_plan])
-                            while not stop_chaos.wait(
-                                    args.rebalance_every):
-                                strategy = next(strategies)
-                                rebalanced = frontend.rebalance(
-                                    ShardPlan(args.shards, strategy))
-                                print(f"  rebalance: -> {strategy} plan "
-                                      f"in {rebalanced.seconds:.3f}s "
-                                      f"(drained={rebalanced.drained})")
-
-                        chaos.append(threading.Thread(
-                            target=rebalancer, daemon=True,
-                            name="serve-sim-rebalance"))
-                    for thread in chaos:
+            stop_chaos = threading.Event()
+            tier = _sharded_tier if sharded else _local_tier
+            with tier(args, store) as frontend:
+                plane = (_controlplane(args, frontend, fault_plan)
+                         if args.autoscale else nullcontext())
+                threads = [
+                    threading.Thread(target=produce, daemon=True,
+                                     name="sim-producer"),
+                    *_chaos_threads(args, frontend, kill, stop_chaos),
+                ]
+                with controller, plane:
+                    for thread in threads:
                         thread.start()
-                    writer = threading.Thread(target=ingest, daemon=True,
-                                              name="serve-sim-ingest")
-                    writer.start()
-                    report = run_load(frontend, **load_kwargs)
+                    report = run_load(
+                        frontend,
+                        num_requests=args.requests,
+                        clients=args.clients,
+                        topk_fraction=args.topk_fraction,
+                        k=args.k,
+                        seed=args.seed,
+                    )
                     stop_chaos.set()
-                    writer.join()
-                    for thread in chaos:
+                    for thread in threads:
                         thread.join()
-                    if controlplane is not None:
-                        _settle_controlplane(frontend, controlplane,
-                                             args.shards * args.replicas)
-                        controlplane.close()
-                    # Pull worker-internal recorder state back to the
-                    # router before the workers go away.
-                    frontend.worker_metrics()
-                    publisher.detach()
-            else:
-                config = ServingConfig(
-                    max_batch_size=args.max_batch_size,
-                    max_delay=args.max_delay_ms / 1e3,
-                    default_k=args.k,
-                    cache_size=args.cache_size,
-                    index=args.index,
-                    ann=_ann_config(args),
-                )
-                with ServingFrontend(store, config) as frontend:
-                    if frontend.ann is not None:
-                        # Serve the initial snapshot from the IVF index
-                        # from the first request (later publishes rebuild
-                        # async).
-                        ready = frontend.ann.wait_ready(timeout=60.0)
-                        index = frontend.ann.current
-                        if ready and index is not None:
-                            print(
-                                f"  ann: IVF index v{index.version} — "
-                                f"{index.nlist} cells, nprobe "
-                                f"{index.nprobe}, "
-                                f"{index.nbytes / 1e6:.2f} MB, built in "
-                                f"{index.build_seconds:.3f}s")
-                        else:
-                            print("  ann: index not ready, serving exact "
-                                  "fallback until the build lands")
-                    writer = threading.Thread(target=ingest, daemon=True,
-                                              name="serve-sim-ingest")
-                    writer.start()
-                    report = run_load(frontend, **load_kwargs)
-                    writer.join()
-            if writer_error:
-                raise writer_error[0]
 
-            counters = recorder.counters
-            print()
-            print(render_table([report.as_row()],
-                               title="Closed-loop load (client side)"))
-            if args.shards > 1:
-                print()
-                print(render_table([_shard_row(recorder)],
-                                   title="Sharded tier (recorder)"))
-                print()
-                print(render_table(
-                    _per_shard_rows(recorder, args.shards, report.seconds),
-                    title="Per-shard breakdown (recorder)",
-                ))
-                print()
-                print(render_table(
-                    [_worker_row(recorder)],
-                    title="Worker internals (aggregated over replicas)",
-                ))
-                if args.autoscale:
-                    print()
-                    print(render_table(
-                        [_controlplane_row(recorder)],
-                        title="Control plane (recorder)"))
+            for update in embedder.reports[1:]:
+                print(f"  ingest: generation {update.generation}, "
+                      f"{update.affected_nodes} affected nodes, "
+                      f"{update.seconds:.2f}s")
+            stats = controller.stats
+            tables = [
+                ("Closed-loop load (client side)", [report.as_row()]),
+                (f"Streaming ingest ({args.backpressure} backpressure, "
+                 f"{policy.name} refresh)", [{
+                     "batches": stats.batches_applied,
+                     "edges": stats.edges_applied,
+                     "refreshes": stats.refreshes,
+                     "refresh s": round(stats.refresh_seconds, 2),
+                     "dropped": queue.dropped_batches,
+                     "rejected": queue.rejected_batches,
+                     "wal bytes": int(
+                         recorder.counters.get("stream.wal.bytes", 0)),
+                     "segments": wal.segment_count if wal else 0,
+                     "generation": dynamic.generation,
+                 }]),
+            ]
+            if sharded:
+                tables += [
+                    ("Sharded tier (recorder)", [_shard_row(recorder)]),
+                    ("Per-shard breakdown (recorder)",
+                     _per_shard_rows(recorder, args.shards, report.seconds)),
+                    ("Worker internals (aggregated over replicas)",
+                     [_worker_row(recorder)]),
+                ]
             else:
-                hits = counters.get("serving.index.cache_hits", 0)
-                misses = counters.get("serving.index.cache_misses", 0)
-                batch_hist = recorder.histograms.get("serving.batch.size")
-                print()
-                print(render_table(
-                    [{
-                        "publishes": int(
-                            counters.get("serving.store.publishes", 0)),
-                        "served generation": int(store.generation),
-                        "cache hit rate": (
-                            round(hits / (hits + misses), 3)
-                            if hits + misses else 0.0
-                        ),
-                        "mean batch": (round(batch_hist.mean, 2)
-                                       if batch_hist else 0.0),
-                        "gemm rows": int(
-                            counters.get("serving.index.gemm_rows", 0)),
-                    }],
-                    title="Serving internals (recorder)",
-                ))
+                tables.append(("Serving internals (recorder)",
+                               [_serving_row(recorder, store)]))
                 if args.index == "ivf":
-                    print()
-                    print(render_table(
-                        [_ann_row(recorder)],
-                        title="ANN index internals (recorder)"))
+                    tables.append(("ANN index internals (recorder)",
+                                   [_ann_row(recorder)]))
+            if args.autoscale:
+                tables.append(("Control plane (recorder)",
+                               [_controlplane_row(recorder)]))
+            for title, rows in tables:
+                print()
+                print(render_table(rows, title=title))
     return 0
+
+
+def _replay_wal(wal_dir: str) -> int:
+    """``stream-sim --replay-only``: recover a WAL and report it."""
+    from repro.stream import StreamController
+
+    dynamic, result = StreamController.recover(wal_dir)
+    print(render_table(
+        [{
+            "segments": result.segments,
+            "batches": len(result.batches),
+            "edges": result.total_edges,
+            "nodes": dynamic.num_nodes,
+            "generation": dynamic.generation,
+            "truncated bytes": result.truncated_bytes,
+            "replay s": round(result.seconds, 4),
+        }],
+        title=f"recovered from WAL {wal_dir}",
+    ))
+    return 0
+
+
+def _serving_row(recorder, store) -> dict:
+    """One summary row of the local tier's ``serving.*`` metrics."""
+    counters = recorder.counters
+    hits = counters.get("serving.index.cache_hits", 0)
+    misses = counters.get("serving.index.cache_misses", 0)
+    batch_hist = recorder.histograms.get("serving.batch.size")
+    return {
+        "publishes": int(counters.get("serving.store.publishes", 0)),
+        "served generation": int(store.generation),
+        "cache hit rate": (round(hits / (hits + misses), 3)
+                           if hits + misses else 0.0),
+        "mean batch": round(batch_hist.mean, 2) if batch_hist else 0.0,
+        "gemm rows": int(counters.get("serving.index.gemm_rows", 0)),
+    }
 
 
 def _shard_row(recorder) -> dict:
@@ -698,38 +818,16 @@ def _worker_row(recorder) -> dict:
     }
 
 
-def _parse_kill_replica(spec: str, num_shards: int,
-                        num_replicas: int) -> tuple[int, int, float]:
-    """Parse ``--kill-replica SHARD[:REPLICA[:DELAY_S]]``."""
-    parts = spec.split(":")
-    if len(parts) > 3:
-        raise SystemExit(
-            f"--kill-replica expects SHARD[:REPLICA[:DELAY_S]], "
-            f"got {spec!r}")
-    try:
-        shard = int(parts[0])
-        replica = int(parts[1]) if len(parts) > 1 else 0
-        delay = float(parts[2]) if len(parts) > 2 else 0.2
-    except ValueError:
-        raise SystemExit(
-            f"--kill-replica expects SHARD[:REPLICA[:DELAY_S]], "
-            f"got {spec!r}") from None
-    if not 0 <= shard < num_shards:
-        raise SystemExit(
-            f"--kill-replica shard {shard} out of range "
-            f"[0, {num_shards})")
-    if not 0 <= replica < num_replicas:
-        raise SystemExit(
-            f"--kill-replica replica {replica} out of range "
-            f"[0, {num_replicas})")
-    if delay < 0:
-        raise SystemExit(f"--kill-replica delay must be >= 0, got {delay}")
-    return shard, replica, delay
+@contextmanager
+def _controlplane(args: argparse.Namespace, frontend,
+                  fault_plan) -> Iterator[None]:
+    """Supervise ``frontend`` with the control plane for the ``with`` body.
 
-
-def _start_controlplane(args: argparse.Namespace, frontend):
-    """Build and start the control plane from the --autoscale knobs."""
-    from repro.faults import FaultPlan
+    On the way out it waits (bounded) until every replica slot is live
+    again, or the circuit breaker gave up on one.  A chaos kill landing
+    near the end of the load run would otherwise race shutdown, and the
+    drill's whole point is to observe the respawn.
+    """
     from repro.serving import ControlPlane, ControlPlaneConfig
 
     config = ControlPlaneConfig(
@@ -739,34 +837,19 @@ def _start_controlplane(args: argparse.Namespace, frontend):
         skew_observations=args.skew_observations,
         rebalance_cooldown=args.rebalance_cooldown,
     )
-    plane = ControlPlane(frontend, config,
-                         fault_plan=FaultPlan.from_env()).start()
     print(f"  control plane: sweeping every {config.health_period:.2f}s "
           f"(max {config.max_respawns} respawns/slot, skew >= "
           f"{config.skew_threshold:.1f}x over "
           f"{config.skew_observations} sweeps)")
-    return plane
-
-
-def _settle_controlplane(frontend, controlplane, want_workers: int,
-                         timeout: float = 10.0) -> None:
-    """Give the control plane time to finish in-flight recovery.
-
-    A chaos kill landing near the end of the load run would otherwise
-    race shutdown: the drill's whole point is to observe the respawn,
-    so the clean path waits (bounded) until every slot is live again —
-    or the circuit breaker gave up on one — before stopping the loop.
-    """
-    import time as time_mod
-
-    recorder = get_recorder()
-    deadline = time_mod.monotonic() + timeout
-    while time_mod.monotonic() < deadline:
-        gave_up = recorder.counters.get(
-            "serving.controlplane.respawn_giveup", 0)
-        if frontend.alive_workers >= want_workers or gave_up:
-            return
-        time_mod.sleep(controlplane.config.health_period)
+    with ControlPlane(frontend, config, fault_plan=fault_plan):
+        yield
+        recorder = get_recorder()
+        deadline = time.monotonic() + 10.0
+        while (time.monotonic() < deadline
+               and frontend.alive_workers < args.shards * args.replicas
+               and not recorder.counters.get(
+                   "serving.controlplane.respawn_giveup")):
+            time.sleep(config.health_period)
 
 
 def _controlplane_row(recorder) -> dict:
@@ -791,228 +874,6 @@ def _controlplane_row(recorder) -> dict:
         "recovery s": (round(recovery.mean, 3)
                        if recovery and recovery.count else 0.0),
     }
-
-
-def _add_controlplane_arguments(parser: argparse.ArgumentParser,
-                                autoscale_flag: bool) -> None:
-    """Control-plane policy knobs (shared by serve-sim and pipeline-sim).
-
-    ``serve-sim`` gates the plane behind ``--autoscale``;
-    ``pipeline-sim`` always runs it (it *is* the end-to-end loop).
-    """
-    group = parser.add_argument_group("control plane")
-    if autoscale_flag:
-        group.add_argument("--autoscale", action="store_true",
-                           help="supervise the sharded tier: auto-respawn "
-                                "dead replicas and rebalance on sustained "
-                                "load skew (requires --shards > 1)")
-    group.add_argument("--health-period", type=float, default=0.1,
-                       help="seconds between control-plane health sweeps")
-    group.add_argument("--max-respawns", type=int, default=5,
-                       help="respawn attempts per replica slot before the "
-                            "circuit breaker gives up (tier stays "
-                            "degraded, never fork-loops)")
-    group.add_argument("--skew-threshold", type=float, default=3.0,
-                       help="max/mean per-shard request-rate ratio that "
-                            "counts as skew")
-    group.add_argument("--skew-observations", type=int, default=3,
-                       help="consecutive skewed sweeps before a rebalance "
-                            "is armed (hysteresis)")
-    group.add_argument("--rebalance-cooldown", type=float, default=5.0,
-                       help="minimum seconds between control-plane "
-                            "rebalances (no flapping)")
-
-
-def cmd_pipeline_sim(args: argparse.Namespace) -> int:
-    """``repro pipeline-sim``: the end-to-end stream→serve loop.
-
-    One process wires the whole deployment story together: a generator
-    thread feeds edge batches through the bounded ingest queue into the
-    :class:`~repro.stream.controller.StreamController` (WAL-first when
-    ``--wal-dir`` is given, then graph apply, then policy-driven
-    incremental refresh), every refreshed snapshot fans out through
-    :meth:`~repro.serving.sharding.ShardedPublisher.attach` to the
-    replicated sharded tier, the control plane supervises the workers,
-    and a closed-loop load generator queries the tier the whole time.
-    """
-    import threading
-    import time as time_mod
-
-    import numpy as np
-
-    from repro.faults import FaultPlan
-    from repro.graph import DynamicTemporalGraph
-    from repro.serving import (
-        ControlPlane,
-        ControlPlaneConfig,
-        EmbeddingStore,
-        ShardPlan,
-        ShardedFrontend,
-        ShardedPublisher,
-        ShardedServingConfig,
-        run_load,
-    )
-    from repro.stream import (
-        EveryNEdges,
-        IngestQueue,
-        StreamController,
-        WriteAheadLog,
-    )
-    from repro.tasks.incremental import IncrementalEmbedder
-
-    if args.input:
-        edges = read_wel(args.input)
-        source = args.input
-    else:
-        edges = generators.erdos_renyi_temporal(args.nodes, args.edges,
-                                                seed=args.seed)
-        source = f"ER {args.nodes}x{args.edges} (synthetic)"
-    ordered = edges.sorted_by_time()
-
-    # 60% of the stream seeds the initial graph; the tail arrives live.
-    cut = int(0.6 * len(ordered))
-    initial = ordered.take(np.arange(cut))
-    step = max(1, (len(ordered) - cut) // args.batches)
-    batches = []
-    for i in range(args.batches):
-        stop = (cut + (i + 1) * step if i < args.batches - 1
-                else len(ordered))
-        if stop > cut + i * step:
-            batches.append(ordered.take(np.arange(cut + i * step, stop)))
-
-    fault_plan = FaultPlan.from_env()
-    with _observability(args) as obs_recorder:
-        recorder = obs_recorder if obs_recorder is not None else Recorder()
-        with use_recorder(recorder):
-            wal = None
-            if args.wal_dir:
-                wal = WriteAheadLog(args.wal_dir, fault_plan=fault_plan)
-            dynamic = DynamicTemporalGraph()
-            if len(initial):
-                if wal is not None:
-                    wal.append(initial)
-                dynamic.append(initial)
-            store = EmbeddingStore()
-            embedder = IncrementalEmbedder(
-                dynamic,
-                walk_config=WalkConfig(num_walks_per_node=args.walks,
-                                       max_walk_length=args.length,
-                                       bias=args.bias),
-                sgns_config=SgnsConfig(dim=args.dim,
-                                       epochs=args.w2v_epochs),
-                seed=args.seed,
-                store=store,
-                sampler=args.sampler,
-            )
-            build_start = time_mod.perf_counter()
-            embedder.rebuild()
-            print(f"input: {source} — {dynamic.num_nodes} nodes, "
-                  f"{dynamic.num_edges} edges initial; embeddings in "
-                  f"{time_mod.perf_counter() - build_start:.2f}s; "
-                  f"{len(batches)} live batches to stream"
-                  + (f"; WAL at {args.wal_dir}" if wal is not None
-                     else ""))
-
-            queue = IngestQueue(max_edges=args.queue_edges,
-                                policy="block")
-            controller = StreamController(
-                dynamic, queue, wal=wal, embedder=embedder,
-                policy=EveryNEdges(args.refresh_edges),
-                fault_plan=fault_plan,
-            )
-            plan = ShardPlan(args.shards, args.shard_plan)
-            shard_config = ShardedServingConfig(
-                default_k=args.k,
-                replication_factor=args.replicas,
-            )
-            cp_config = ControlPlaneConfig(
-                health_period=args.health_period,
-                max_respawns=args.max_respawns,
-                skew_threshold=args.skew_threshold,
-                skew_observations=args.skew_observations,
-                rebalance_cooldown=args.rebalance_cooldown,
-            )
-            with ShardedFrontend(plan, shard_config) as frontend:
-                publisher = ShardedPublisher(frontend)
-                # Warm snapshot now; every refresh the controller
-                # triggers fans out to the shards automatically.
-                publisher.attach(store)
-                print(f"  shards: {plan.num_shards} x {args.replicas} "
-                      f"workers ({plan.strategy} plan), serving "
-                      f"version {frontend.version}; control plane "
-                      f"sweeping every {cp_config.health_period:.2f}s")
-                controlplane = ControlPlane(frontend, cp_config,
-                                            fault_plan=fault_plan)
-                stop_chaos = threading.Event()
-                chaos = None
-                if args.kill_replica is not None:
-                    shard_id, replica, delay = _parse_kill_replica(
-                        args.kill_replica, args.shards, args.replicas)
-
-                    def killer() -> None:
-                        if not stop_chaos.wait(delay):
-                            frontend.kill_replica(shard_id, replica)
-                            print(f"  chaos: killed shard {shard_id} "
-                                  f"replica {replica} after "
-                                  f"{delay:.2f}s")
-
-                    chaos = threading.Thread(target=killer, daemon=True,
-                                             name="pipeline-sim-kill")
-
-                def produce() -> None:
-                    for edge_batch in batches:
-                        if args.batch_interval > 0:
-                            time_mod.sleep(args.batch_interval)
-                        queue.put(edge_batch)
-
-                with controller, controlplane:
-                    producer = threading.Thread(
-                        target=produce, daemon=True,
-                        name="pipeline-sim-producer")
-                    producer.start()
-                    if chaos is not None:
-                        chaos.start()
-                    report = run_load(
-                        frontend,
-                        num_requests=args.requests,
-                        clients=args.clients,
-                        topk_fraction=args.topk_fraction,
-                        k=args.k,
-                        seed=args.seed,
-                    )
-                    stop_chaos.set()
-                    producer.join()
-                    if chaos is not None:
-                        chaos.join()
-                    _settle_controlplane(frontend, controlplane,
-                                         args.shards * args.replicas)
-                stats = controller.stats
-                frontend.worker_metrics()
-                publisher.detach()
-
-            counters = recorder.counters
-            print()
-            print(render_table([report.as_row()],
-                               title="Closed-loop load (client side)"))
-            print()
-            print(render_table(
-                [{
-                    "batches": stats.batches_applied,
-                    "edges": stats.edges_applied,
-                    "refreshes": stats.refreshes,
-                    "refresh s": round(stats.refresh_seconds, 2),
-                    "wal bytes": int(counters.get("stream.wal.bytes", 0)),
-                    "generation": dynamic.generation,
-                }],
-                title="Streaming ingest (every-n refresh)",
-            ))
-            print()
-            print(render_table([_shard_row(recorder)],
-                               title="Sharded tier (recorder)"))
-            print()
-            print(render_table([_controlplane_row(recorder)],
-                               title="Control plane (recorder)"))
-    return 0
 
 
 def _ann_config(args: argparse.Namespace):
@@ -1048,193 +909,213 @@ def _ann_row(recorder) -> dict:
     }
 
 
-def _add_ann_arguments(group) -> None:
-    """``--index``/IVF knobs shared by serve-sim and stream-sim."""
-    group.add_argument("--index", default="exact",
-                       choices=["exact", "ivf"],
-                       help="top-k index: exact blocked scan (oracle) or "
-                            "approximate IVF probing")
-    group.add_argument("--nlist", type=int, default=None,
-                       help="IVF cell count (default: ~sqrt(nodes))")
-    group.add_argument("--nprobe", type=int, default=8,
-                       help="IVF cells probed per query (= nlist probes "
-                            "everything: exact results)")
-    group.add_argument("--ann-recall-every", type=int, default=100,
-                       help="shadow-check every Nth ANN query against the "
-                            "exact oracle and record its recall (0 = off)")
-
-
-def cmd_stream_sim(args: argparse.Namespace) -> int:
-    """``repro stream-sim``: durable streaming ingest under query load."""
-    import threading
-    import time as time_mod
-
-    import numpy as np
-
-    from repro.faults import FaultPlan
-    from repro.graph import DynamicTemporalGraph
-    from repro.serving import (
-        EmbeddingStore,
-        ServingConfig,
-        ServingFrontend,
-        run_load,
-    )
-    from repro.stream import (
-        AffectedFraction,
-        EveryNEdges,
-        IngestQueue,
-        MaxStaleness,
-        StreamController,
-        WriteAheadLog,
-    )
-    from repro.tasks.incremental import IncrementalEmbedder
-
-    if args.replay_only:
-        dynamic, result = StreamController.recover(args.wal_dir)
-        print(render_table(
-            [{
-                "segments": result.segments,
-                "batches": len(result.batches),
-                "edges": result.total_edges,
-                "nodes": dynamic.num_nodes,
-                "generation": dynamic.generation,
-                "truncated bytes": result.truncated_bytes,
-                "replay s": round(result.seconds, 4),
-            }],
-            title=f"recovered from WAL {args.wal_dir}",
-        ))
-        return 0
-
-    if args.input:
-        edges = read_wel(args.input)
-        source = args.input
-    else:
-        edges = generators.erdos_renyi_temporal(args.nodes, args.edges,
-                                                seed=args.seed)
-        source = f"ER {args.nodes}x{args.edges} (synthetic)"
-    ordered = edges.sorted_by_time()
-
-    # 60% of the stream seeds the initial graph; the tail arrives live.
-    cut = int(0.6 * len(ordered))
-    initial = ordered.take(np.arange(cut))
-    step = max(1, (len(ordered) - cut) // args.batches)
-    batches = []
-    for i in range(args.batches):
-        stop = (cut + (i + 1) * step if i < args.batches - 1
-                else len(ordered))
-        if stop > cut + i * step:
-            batches.append(ordered.take(np.arange(cut + i * step, stop)))
-
-    if args.refresh_policy == "every-n":
-        policy = EveryNEdges(args.refresh_edges)
-    elif args.refresh_policy == "staleness":
-        policy = MaxStaleness(args.staleness_seconds)
-    else:
-        policy = AffectedFraction(args.affected_fraction)
-
-    fault_plan = FaultPlan.from_env()
-    with _observability(args) as obs_recorder:
-        recorder = obs_recorder if obs_recorder is not None else Recorder()
-        with use_recorder(recorder):
-            # The initial graph is WAL-logged too (as the first batch),
-            # so --replay-only reconstructs the *entire* graph and the
-            # recovered generation sequence matches the live one.
-            wal = WriteAheadLog(args.wal_dir,
-                                segment_max_bytes=args.wal_segment_bytes,
-                                sync=not args.no_wal_sync,
-                                fault_plan=fault_plan)
-            dynamic = DynamicTemporalGraph()
-            if len(initial):
-                wal.append(initial)
-                dynamic.append(initial)
-            store = EmbeddingStore()
-            embedder = IncrementalEmbedder(
-                dynamic,
-                walk_config=WalkConfig(num_walks_per_node=args.walks,
-                                       max_walk_length=args.length,
-                                       bias=args.bias),
-                sgns_config=SgnsConfig(dim=args.dim, epochs=args.w2v_epochs),
-                seed=args.seed,
-                store=store,
-                sampler=args.sampler,
-            )
-            build_start = time_mod.perf_counter()
-            embedder.rebuild()
-            print(f"input: {source} — {dynamic.num_nodes} nodes, "
-                  f"{dynamic.num_edges} edges initial; embeddings in "
-                  f"{time_mod.perf_counter() - build_start:.2f}s; "
-                  f"{len(batches)} live batches to stream")
-
-            queue = IngestQueue(
-                max_edges=args.queue_edges,
-                policy=args.backpressure,
-                rate_limit=args.rate_limit,
-            )
-            controller = StreamController(
-                dynamic, queue, wal=wal, embedder=embedder, policy=policy,
-                fault_plan=fault_plan,
-            )
-
-            def produce() -> None:
-                for edge_batch in batches:
-                    if args.batch_interval > 0:
-                        time_mod.sleep(args.batch_interval)
-                    queue.put(edge_batch)
-
-            config = ServingConfig(
-                max_batch_size=args.max_batch_size,
-                max_delay=args.max_delay_ms / 1e3,
-                default_k=args.k,
-                cache_size=args.cache_size,
-                index=args.index,
-                ann=_ann_config(args),
-            )
-            with controller:
-                with ServingFrontend(store, config) as frontend:
-                    producer = threading.Thread(target=produce, daemon=True,
-                                                name="stream-sim-producer")
-                    producer.start()
-                    report = run_load(
-                        frontend,
-                        num_requests=args.requests,
-                        clients=args.clients,
-                        topk_fraction=args.topk_fraction,
-                        k=args.k,
-                        seed=args.seed,
-                    )
-                    producer.join()
-            stats = controller.stats
-
-            counters = recorder.counters
-            print()
-            print(render_table([report.as_row()],
-                               title="Closed-loop load (client side)"))
-            print()
-            print(render_table(
-                [{
-                    "batches": stats.batches_applied,
-                    "edges": stats.edges_applied,
-                    "refreshes": stats.refreshes,
-                    "refresh s": round(stats.refresh_seconds, 2),
-                    "dropped": queue.dropped_batches,
-                    "rejected": queue.rejected_batches,
-                    "wal bytes": int(counters.get("stream.wal.bytes", 0)),
-                    "segments": wal.segment_count,
-                    "generation": dynamic.generation,
-                }],
-                title=f"Streaming ingest ({args.backpressure} backpressure, "
-                      f"{policy.name} refresh)",
-            ))
-            if args.index == "ivf":
-                print()
-                print(render_table([_ann_row(recorder)],
-                                   title="ANN index internals (recorder)"))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+_OFF = object()       #: the preset has no such flag
+_REQUIRED = object()  #: the preset requires the flag (no default)
+
+_EMBED = "embedding hyperparameters"
+_INGEST = "ingest: WAL, queue, refresh"
+_LOAD = "serving and load"
+_PLANE = "control plane"
+_OBS = "observability"
+
+
+def _opt(group: str | None, flag: str, defaults: tuple,
+         help_text: str | None, **kwargs) -> tuple:
+    """One _SIM_OPTIONS row."""
+    return group, flag, defaults, dict(kwargs, help=help_text)
+
+
+#: Every sim option once: (group, flag, default in serve-sim, stream-sim,
+#: pipeline-sim, add_argument kwargs).  A preset without the flag
+#: (_OFF) takes the value from its _SIM_PRESETS entry instead.
+_SIM_OPTIONS = (
+    _opt(None, "--input", (None, None, None),
+         ".wel temporal graph (omit for synthetic ER)"),
+    _opt(None, "--nodes", (2_000, 2_000, 1_000),
+         "ER nodes when --input is omitted", type=int),
+    _opt(None, "--edges", (20_000, 20_000, 10_000),
+         "ER edges when --input is omitted", type=int),
+    _opt(_EMBED, "--sampler", ("cdf",) * 3,
+         "walk kernel for incremental refresh walks",
+         choices=["cdf", "gumbel", "batched"]),
+    _opt(_EMBED, "--walks", (5, 5, 2), "random walks per node (K)",
+         type=int),
+    _opt(_EMBED, "--length", (6, 6, 4), "maximum walk length in nodes (L)",
+         type=int),
+    _opt(_EMBED, "--bias", ("softmax-recency",) * 3, "Eq. 1 transition bias",
+         choices=["uniform", "softmax-late", "softmax-recency", "linear"]),
+    _opt(_EMBED, "--dim", (8, 8, 8), "embedding dimension (d)", type=int),
+    _opt(_EMBED, "--w2v-epochs", (2, 2, 1), "word2vec epochs", type=int),
+    _opt(_INGEST, "--wal-dir", (_OFF, _REQUIRED, None),
+         "write-ahead-log directory (created if missing; an existing log "
+         "is repaired and continued; pipeline-sim streams without "
+         "durability when omitted)"),
+    _opt(_INGEST, "--replay-only", (_OFF, False, _OFF),
+         "recover and report the WAL contents, then exit (crash-recovery "
+         "verification; no load run)", action="store_true"),
+    _opt(_INGEST, "--wal-segment-bytes", (_OFF, 256 * 1024, _OFF),
+         "WAL segment rotation threshold", type=int),
+    _opt(_INGEST, "--no-wal-sync", (_OFF, False, _OFF),
+         "skip the per-batch fsync (faster, loses the power-failure "
+         "guarantee)", action="store_true"),
+    _opt(_INGEST, "--backpressure", (_OFF, "block", _OFF),
+         "ingest-queue overflow policy",
+         choices=["block", "drop_oldest", "reject"]),
+    _opt(_INGEST, "--queue-edges", (_OFF, 50_000, 50_000),
+         "ingest queue bound, in edges", type=int),
+    _opt(_INGEST, "--rate-limit", (_OFF, None, _OFF),
+         "token-bucket producer limit in edges/second (default: "
+         "unlimited)", type=float),
+    _opt(_INGEST, "--refresh-policy", (_OFF, "every-n", _OFF),
+         "when to refresh embeddings",
+         choices=["every-n", "staleness", "affected"]),
+    _opt(_INGEST, "--refresh-edges", (_OFF, 1000, 500),
+         "every-n: applied edges per refresh", type=int),
+    _opt(_INGEST, "--staleness-seconds", (_OFF, 0.5, _OFF),
+         "staleness: max wall-clock age of pending edges", type=float),
+    _opt(_INGEST, "--affected-fraction", (_OFF, 0.1, _OFF),
+         "affected: touched-node fraction per refresh", type=float),
+    _opt(_INGEST, "--update-batches", (0, _OFF, _OFF),
+         "hold back 30%% of the stream and replay it as this many live "
+         "edge batches + incremental updates during the load run",
+         type=int, dest="batches", metavar="UPDATE_BATCHES"),
+    _opt(_INGEST, "--update-interval", (0.05, _OFF, _OFF),
+         "seconds between live edge batches",
+         type=float, dest="batch_interval", metavar="UPDATE_INTERVAL"),
+    _opt(_INGEST, "--batches", (_OFF, 8, 6),
+         "live batches the generator streams (40%% of the input is held "
+         "back for them)", type=_positive_int),
+    _opt(_INGEST, "--batch-interval", (_OFF, 0.02, 0.02),
+         "seconds between generated batches", type=float),
+    _opt(_LOAD, "--clients", (8, 4, 4), "closed-loop client threads",
+         type=int),
+    _opt(_LOAD, "--requests", (5_000, 2_000, 1_000),
+         "total requests across all clients", type=int),
+    _opt(_LOAD, "--topk-fraction", (0.5, 0.5, 0.5),
+         "fraction of requests that are top-k (rest are link scores)",
+         type=float),
+    _opt(_LOAD, "--k", (10, 10, 10), "recommendations per top-k request",
+         type=int),
+    _opt(_LOAD, "--max-batch-size", (64, 64, _OFF),
+         "micro-batch size cap (1 = single-request baseline)", type=int),
+    _opt(_LOAD, "--max-delay-ms", (2.0, 2.0, _OFF),
+         "micro-batch max wait in milliseconds", type=float),
+    _opt(_LOAD, "--cache-size", (4096, 4096, _OFF),
+         "top-k LRU cache entries (0 disables)", type=int),
+    _opt(_LOAD, "--index", ("exact", "exact", _OFF),
+         "top-k index: exact blocked scan (oracle) or approximate IVF "
+         "probing", choices=["exact", "ivf"]),
+    _opt(_LOAD, "--nlist", (None, None, _OFF),
+         "IVF cell count (default: ~sqrt(nodes))", type=int),
+    _opt(_LOAD, "--nprobe", (8, 8, _OFF),
+         "IVF cells probed per query (= nlist probes everything: exact "
+         "results)", type=int),
+    _opt(_LOAD, "--ann-recall-every", (100, 100, _OFF),
+         "shadow-check every Nth ANN query against the exact oracle and "
+         "record its recall (0 = off)", type=int),
+    _opt(_LOAD, "--shards", (1, _OFF, 2),
+         "shard worker processes (serve-sim serves through the "
+         "scatter/gather sharded tier from 2 up)", type=_positive_int),
+    _opt(_LOAD, "--shard-plan", ("hash", _OFF, "hash"),
+         "node-id partitioner of the sharded tier",
+         choices=["hash", "range"]),
+    _opt(_LOAD, "--replicas", (1, _OFF, 2),
+         "worker replicas per shard slice (reads fan out round-robin and "
+         "fail over to a live sibling)", type=_positive_int),
+    _opt(_LOAD, "--rebalance-every", (0.0, _OFF, _OFF),
+         "live-rebalance the sharded tier between hash and range plans at "
+         "this interval during the load run (0 disables)",
+         type=float, metavar="SECONDS"),
+    _opt(_LOAD, "--kill-replica", (None, _OFF, None),
+         "chaos drill: hard-kill one shard worker DELAY_S seconds (default "
+         "0.2) into the load run", metavar="SHARD[:REPLICA[:DELAY_S]]"),
+    _opt(_PLANE, "--autoscale", (False, _OFF, _OFF),
+         "supervise the sharded tier: auto-respawn dead replicas and "
+         "rebalance on sustained load skew (requires --shards > 1)",
+         action="store_true"),
+    _opt(_PLANE, "--health-period", (0.1, _OFF, 0.1),
+         "seconds between control-plane health sweeps", type=float),
+    _opt(_PLANE, "--max-respawns", (5, _OFF, 5),
+         "respawn attempts per replica slot before the circuit breaker "
+         "gives up (tier stays degraded, never fork-loops)", type=int),
+    _opt(_PLANE, "--skew-threshold", (3.0, _OFF, 3.0),
+         "max/mean per-shard request-rate ratio that counts as skew",
+         type=float),
+    _opt(_PLANE, "--skew-observations", (3, _OFF, 3),
+         "consecutive skewed sweeps before a rebalance is armed "
+         "(hysteresis)", type=int),
+    _opt(_PLANE, "--rebalance-cooldown", (5.0, _OFF, 5.0),
+         "minimum seconds between control-plane rebalances (no flapping)",
+         type=float),
+    _opt(_OBS, "--metrics-out", (None, None, None),
+         "write run counters/gauges/histograms as JSON", metavar="FILE"),
+    _opt(_OBS, "--trace-out", (None, None, None),
+         "write the span trace as JSONL", metavar="FILE"),
+    _opt(None, "--seed", (0, 0, 0), None, type=int),
+)
+
+#: The three sim commands, in _SIM_OPTIONS column order: their help and
+#: the set_defaults data that makes them presets of :func:`cmd_sim` —
+#: the seed-graph fraction of the stream (``split``), the --shards count
+#: from which the tier is sharded (``sharded_from``), whether the
+#: control plane runs (``autoscale``), and the values of hidden options.
+_SIM_PRESETS = {
+    "serve-sim": (
+        "online serving simulation (embedding store + micro-batched "
+        "frontend under closed-loop load)",
+        # No WAL; every live batch is refreshed on its own, through a
+        # queue that admits every held-back batch.
+        dict(split=0.7, sharded_from=2, wal_dir=None, replay_only=False,
+             backpressure="block", queue_edges=sys.maxsize, rate_limit=None,
+             refresh_policy="every-n", refresh_edges=1),
+    ),
+    "stream-sim": (
+        "durable streaming-ingest simulation (WAL + bounded queue + "
+        "policy-driven refresh under closed-loop query load)",
+        dict(split=0.6, sharded_from=2, autoscale=False, shards=1,
+             kill_replica=None, rebalance_every=0.0),
+    ),
+    "pipeline-sim": (
+        "end-to-end stream→serve pipeline: ingest queue + WAL + "
+        "incremental refresh fanned out to the replicated sharded tier "
+        "under control-plane supervision and query load",
+        dict(split=0.6, sharded_from=1, autoscale=True, replay_only=False,
+             wal_segment_bytes=DEFAULT_SEGMENT_MAX_BYTES, no_wal_sync=False,
+             backpressure="block", rate_limit=None, refresh_policy="every-n",
+             cache_size=4096, index="exact", rebalance_every=0.0),
+    ),
+}
+
+
+def _add_sim_parsers(sub) -> None:
+    """Add serve-sim, stream-sim and pipeline-sim from the shared table."""
+    for column, (command, (help_text, preset)) in enumerate(
+            _SIM_PRESETS.items()):
+        parser = sub.add_parser(command, help=help_text)
+        groups = {None: parser}
+        for group, flag, defaults, kwargs in _SIM_OPTIONS:
+            default = defaults[column]
+            if default is _OFF:
+                continue
+            if group not in groups:
+                groups[group] = parser.add_argument_group(group)
+            value = ({"required": True} if default is _REQUIRED
+                     else {"default": default})
+            groups[group].add_argument(flag, **kwargs, **value)
+        parser.set_defaults(func=cmd_sim, **preset)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1306,241 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_arguments(hw)
     hw.set_defaults(func=cmd_characterize)
 
-    serve = sub.add_parser(
-        "serve-sim",
-        help="online serving simulation (embedding store + micro-batched "
-             "frontend under closed-loop load)",
-    )
-    serve.add_argument("--input", default=None,
-                       help=".wel temporal graph (omit for synthetic ER)")
-    serve.add_argument("--nodes", type=int, default=2_000,
-                       help="ER nodes when --input is omitted")
-    serve.add_argument("--edges", type=int, default=20_000,
-                       help="ER edges when --input is omitted")
-    emb = serve.add_argument_group("embedding hyperparameters")
-    emb.add_argument("--sampler", default="cdf",
-                     choices=["cdf", "gumbel", "batched"],
-                     help="walk kernel for incremental refresh walks")
-    emb.add_argument("--walks", type=int, default=5,
-                     help="random walks per node (K)")
-    emb.add_argument("--length", type=int, default=6,
-                     help="maximum walk length in nodes (L)")
-    emb.add_argument("--bias", default="softmax-recency",
-                     choices=["uniform", "softmax-late",
-                              "softmax-recency", "linear"],
-                     help="Eq. 1 transition bias")
-    emb.add_argument("--dim", type=int, default=8,
-                     help="embedding dimension (d)")
-    emb.add_argument("--w2v-epochs", type=int, default=2,
-                     help="word2vec epochs")
-    load = serve.add_argument_group("serving and load")
-    load.add_argument("--clients", type=int, default=8,
-                      help="closed-loop client threads")
-    load.add_argument("--requests", type=int, default=5_000,
-                      help="total requests across all clients")
-    load.add_argument("--topk-fraction", type=float, default=0.5,
-                      help="fraction of requests that are top-k (rest "
-                           "are link scores)")
-    load.add_argument("--k", type=int, default=10,
-                      help="recommendations per top-k request")
-    load.add_argument("--max-batch-size", type=int, default=64,
-                      help="micro-batch size cap (1 = single-request "
-                           "baseline)")
-    load.add_argument("--max-delay-ms", type=float, default=2.0,
-                      help="micro-batch max wait in milliseconds")
-    load.add_argument("--cache-size", type=int, default=4096,
-                      help="top-k LRU cache entries (0 disables)")
-    load.add_argument("--shards", type=int, default=1,
-                      help="shard worker processes (>1 serves through the "
-                           "scatter/gather sharded tier)")
-    load.add_argument("--shard-plan", default="hash",
-                      choices=["hash", "range"],
-                      help="node-id partitioner for --shards > 1")
-    load.add_argument("--replicas", type=int, default=1,
-                      help="worker replicas per shard slice (reads "
-                           "fan out round-robin and fail over to a "
-                           "live sibling)")
-    load.add_argument("--rebalance-every", type=float, default=0.0,
-                      metavar="SECONDS",
-                      help="live-rebalance the sharded tier between "
-                           "hash and range plans at this interval "
-                           "during the load run (0 disables)")
-    load.add_argument("--kill-replica", default=None,
-                      metavar="SHARD[:REPLICA[:DELAY_S]]",
-                      help="chaos drill: hard-kill one shard worker "
-                           "DELAY_S seconds (default 0.2) into the "
-                           "load run")
-    _add_ann_arguments(load)
-    _add_controlplane_arguments(serve, autoscale_flag=True)
-    load.add_argument("--update-batches", type=int, default=0,
-                      help="hold back 30%% of the stream and replay it "
-                           "as this many live edge batches + incremental "
-                           "updates during the load run")
-    load.add_argument("--update-interval", type=float, default=0.05,
-                      help="seconds between live edge batches")
-    obs = serve.add_argument_group("observability")
-    obs.add_argument("--metrics-out", default=None, metavar="FILE",
-                     help="write run counters/gauges/histograms as JSON")
-    obs.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="write the span trace as JSONL")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.set_defaults(func=cmd_serve_sim)
-
-    stream = sub.add_parser(
-        "stream-sim",
-        help="durable streaming-ingest simulation (WAL + bounded queue + "
-             "policy-driven refresh under closed-loop query load)",
-    )
-    stream.add_argument("--wal-dir", required=True,
-                        help="write-ahead-log directory (created if missing; "
-                             "an existing log is repaired and continued)")
-    stream.add_argument("--replay-only", action="store_true",
-                        help="recover and report the WAL contents, then exit "
-                             "(crash-recovery verification; no load run)")
-    stream.add_argument("--input", default=None,
-                        help=".wel temporal graph (omit for synthetic ER)")
-    stream.add_argument("--nodes", type=int, default=2_000,
-                        help="ER nodes when --input is omitted")
-    stream.add_argument("--edges", type=int, default=20_000,
-                        help="ER edges when --input is omitted")
-    emb = stream.add_argument_group("embedding hyperparameters")
-    emb.add_argument("--sampler", default="cdf",
-                     choices=["cdf", "gumbel", "batched"],
-                     help="walk kernel for incremental refresh walks")
-    emb.add_argument("--walks", type=int, default=5,
-                     help="random walks per node (K)")
-    emb.add_argument("--length", type=int, default=6,
-                     help="maximum walk length in nodes (L)")
-    emb.add_argument("--bias", default="softmax-recency",
-                     choices=["uniform", "softmax-late",
-                              "softmax-recency", "linear"],
-                     help="Eq. 1 transition bias")
-    emb.add_argument("--dim", type=int, default=8,
-                     help="embedding dimension (d)")
-    emb.add_argument("--w2v-epochs", type=int, default=2,
-                     help="word2vec epochs")
-    ingest = stream.add_argument_group("ingest: WAL, queue, refresh")
-    ingest.add_argument("--wal-segment-bytes", type=int, default=256 * 1024,
-                        help="WAL segment rotation threshold")
-    ingest.add_argument("--no-wal-sync", action="store_true",
-                        help="skip the per-batch fsync (faster, loses the "
-                             "power-failure guarantee)")
-    ingest.add_argument("--backpressure", default="block",
-                        choices=["block", "drop_oldest", "reject"],
-                        help="ingest-queue overflow policy")
-    ingest.add_argument("--queue-edges", type=int, default=50_000,
-                        help="ingest queue bound, in edges")
-    ingest.add_argument("--rate-limit", type=float, default=None,
-                        help="token-bucket producer limit in edges/second "
-                             "(default: unlimited)")
-    ingest.add_argument("--refresh-policy", default="every-n",
-                        choices=["every-n", "staleness", "affected"],
-                        help="when to refresh embeddings")
-    ingest.add_argument("--refresh-edges", type=int, default=1000,
-                        help="every-n: edges per refresh")
-    ingest.add_argument("--staleness-seconds", type=float, default=0.5,
-                        help="staleness: max wall-clock age of pending edges")
-    ingest.add_argument("--affected-fraction", type=float, default=0.1,
-                        help="affected: touched-node fraction per refresh")
-    ingest.add_argument("--batches", type=int, default=8,
-                        help="live batches the generator streams (40%% of "
-                             "the input is held back for them)")
-    ingest.add_argument("--batch-interval", type=float, default=0.02,
-                        help="seconds between generated batches")
-    load = stream.add_argument_group("serving and load")
-    load.add_argument("--clients", type=int, default=4,
-                      help="closed-loop client threads")
-    load.add_argument("--requests", type=int, default=2_000,
-                      help="total requests across all clients")
-    load.add_argument("--topk-fraction", type=float, default=0.5,
-                      help="fraction of requests that are top-k")
-    load.add_argument("--k", type=int, default=10,
-                      help="recommendations per top-k request")
-    load.add_argument("--max-batch-size", type=int, default=64,
-                      help="micro-batch size cap")
-    load.add_argument("--max-delay-ms", type=float, default=2.0,
-                      help="micro-batch max wait in milliseconds")
-    load.add_argument("--cache-size", type=int, default=4096,
-                      help="top-k LRU cache entries (0 disables)")
-    _add_ann_arguments(load)
-    obs = stream.add_argument_group("observability")
-    obs.add_argument("--metrics-out", default=None, metavar="FILE",
-                     help="write run counters/gauges/histograms as JSON")
-    obs.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="write the span trace as JSONL")
-    stream.add_argument("--seed", type=int, default=0)
-    stream.set_defaults(func=cmd_stream_sim)
-
-    pipe = sub.add_parser(
-        "pipeline-sim",
-        help="end-to-end stream→serve pipeline: ingest queue + WAL + "
-             "incremental refresh fanned out to the replicated sharded "
-             "tier under control-plane supervision and query load",
-    )
-    pipe.add_argument("--input", default=None,
-                      help=".wel temporal graph (omit for synthetic ER)")
-    pipe.add_argument("--nodes", type=int, default=1_000,
-                      help="ER nodes when --input is omitted")
-    pipe.add_argument("--edges", type=int, default=10_000,
-                      help="ER edges when --input is omitted")
-    emb = pipe.add_argument_group("embedding hyperparameters")
-    emb.add_argument("--sampler", default="cdf",
-                     choices=["cdf", "gumbel", "batched"],
-                     help="walk kernel for incremental refresh walks")
-    emb.add_argument("--walks", type=int, default=2,
-                     help="random walks per node (K)")
-    emb.add_argument("--length", type=int, default=4,
-                     help="maximum walk length in nodes (L)")
-    emb.add_argument("--bias", default="softmax-recency",
-                     choices=["uniform", "softmax-late",
-                              "softmax-recency", "linear"],
-                     help="Eq. 1 transition bias")
-    emb.add_argument("--dim", type=int, default=8,
-                     help="embedding dimension (d)")
-    emb.add_argument("--w2v-epochs", type=int, default=1,
-                     help="word2vec epochs")
-    ingest = pipe.add_argument_group("ingest")
-    ingest.add_argument("--wal-dir", default=None,
-                        help="write-ahead-log directory (omit to stream "
-                             "without durability)")
-    ingest.add_argument("--queue-edges", type=int, default=50_000,
-                        help="ingest queue bound, in edges")
-    ingest.add_argument("--refresh-edges", type=int, default=500,
-                        help="incremental refresh every N applied edges")
-    ingest.add_argument("--batches", type=int, default=6,
-                        help="live batches the generator streams (40%% of "
-                             "the input is held back for them)")
-    ingest.add_argument("--batch-interval", type=float, default=0.02,
-                        help="seconds between generated batches")
-    load = pipe.add_argument_group("sharded serving and load")
-    load.add_argument("--shards", type=int, default=2,
-                      help="shard worker processes")
-    load.add_argument("--shard-plan", default="hash",
-                      choices=["hash", "range"],
-                      help="node-id partitioner")
-    load.add_argument("--replicas", type=int, default=2,
-                      help="worker replicas per shard slice")
-    load.add_argument("--kill-replica", default=None,
-                      metavar="SHARD[:REPLICA[:DELAY_S]]",
-                      help="chaos drill: hard-kill one shard worker "
-                           "DELAY_S seconds (default 0.2) into the load "
-                           "run; the control plane respawns it")
-    load.add_argument("--clients", type=int, default=4,
-                      help="closed-loop client threads")
-    load.add_argument("--requests", type=int, default=1_000,
-                      help="total requests across all clients")
-    load.add_argument("--topk-fraction", type=float, default=0.5,
-                      help="fraction of requests that are top-k")
-    load.add_argument("--k", type=int, default=10,
-                      help="recommendations per top-k request")
-    _add_controlplane_arguments(pipe, autoscale_flag=False)
-    obs = pipe.add_argument_group("observability")
-    obs.add_argument("--metrics-out", default=None, metavar="FILE",
-                     help="write run counters/gauges/histograms as JSON")
-    obs.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="write the span trace as JSONL")
-    pipe.add_argument("--seed", type=int, default=0)
-    pipe.set_defaults(func=cmd_pipeline_sim)
+    _add_sim_parsers(sub)
 
     return parser
 

@@ -282,3 +282,150 @@ class TestPipelineSim:
         assert counters["serving.controlplane.respawns"] >= 1
         assert counters.get("loadgen.errors", 0) == 0
         assert counters.get("serving.shard.degraded_queries", 0) == 0
+
+
+def _sim_surface(command):
+    """{option string: default} of one sim subcommand (``--help`` aside)."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {option: action.default
+            for action in sub.choices[command]._actions
+            if action.dest != "help"
+            for option in action.option_strings}
+
+
+class TestSimParserSurface:
+    """Pins every flag and default of the three sim presets."""
+
+    SHARED = {
+        "--input": None, "--sampler": "cdf", "--bias": "softmax-recency",
+        "--dim": 8, "--topk-fraction": 0.5, "--k": 10,
+        "--metrics-out": None, "--trace-out": None, "--seed": 0,
+    }
+    LOCAL_TIER = {
+        "--max-batch-size": 64, "--max-delay-ms": 2.0, "--cache-size": 4096,
+        "--index": "exact", "--nlist": None, "--nprobe": 8,
+        "--ann-recall-every": 100,
+    }
+    CONTROL_PLANE = {
+        "--health-period": 0.1, "--max-respawns": 5, "--skew-threshold": 3.0,
+        "--skew-observations": 3, "--rebalance-cooldown": 5.0,
+    }
+
+    def test_serve_sim(self):
+        assert _sim_surface("serve-sim") == {
+            **self.SHARED, **self.LOCAL_TIER, **self.CONTROL_PLANE,
+            "--nodes": 2_000, "--edges": 20_000, "--walks": 5,
+            "--length": 6, "--w2v-epochs": 2, "--clients": 8,
+            "--requests": 5_000, "--shards": 1, "--shard-plan": "hash",
+            "--replicas": 1, "--rebalance-every": 0.0,
+            "--kill-replica": None, "--autoscale": False,
+            "--update-batches": 0, "--update-interval": 0.05,
+        }
+
+    def test_stream_sim(self):
+        assert _sim_surface("stream-sim") == {
+            **self.SHARED, **self.LOCAL_TIER,
+            "--wal-dir": None, "--replay-only": False,
+            "--nodes": 2_000, "--edges": 20_000, "--walks": 5,
+            "--length": 6, "--w2v-epochs": 2,
+            "--wal-segment-bytes": 256 * 1024, "--no-wal-sync": False,
+            "--backpressure": "block", "--queue-edges": 50_000,
+            "--rate-limit": None, "--refresh-policy": "every-n",
+            "--refresh-edges": 1000, "--staleness-seconds": 0.5,
+            "--affected-fraction": 0.1, "--batches": 8,
+            "--batch-interval": 0.02, "--clients": 4, "--requests": 2_000,
+        }
+
+    def test_pipeline_sim(self):
+        assert _sim_surface("pipeline-sim") == {
+            **self.SHARED, **self.CONTROL_PLANE,
+            "--nodes": 1_000, "--edges": 10_000, "--walks": 2,
+            "--length": 4, "--w2v-epochs": 1, "--wal-dir": None,
+            "--queue-edges": 50_000, "--refresh-edges": 500,
+            "--batches": 6, "--batch-interval": 0.02, "--shards": 2,
+            "--shard-plan": "hash", "--replicas": 2, "--kill-replica": None,
+            "--clients": 4, "--requests": 1_000,
+        }
+
+    def test_only_stream_sim_requires_a_wal(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stream-sim", "--replay-only"])
+        assert exc.value.code == 2
+        assert "--wal-dir" in capsys.readouterr().err
+
+
+class TestSimPresets:
+    """Behaviour the three presets share through the one assembly."""
+
+    TINY = ["--walks", "2", "--length", "4", "--dim", "4",
+            "--w2v-epochs", "1", "--requests", "50", "--clients", "2",
+            "--seed", "3"]
+
+    @pytest.mark.parametrize("command, extra, live", [
+        ("serve-sim", ["--update-batches", "20", "--update-interval", "0"],
+         12),
+        ("stream-sim", ["--batches", "20", "--batch-interval", "0"], 16),
+        ("pipeline-sim", ["--batches", "20", "--batch-interval", "0",
+                          "--shards", "1", "--replicas", "1"], 16),
+    ])
+    def test_more_batches_than_tail_edges(self, tmp_path, command, extra,
+                                          live):
+        """A tail shorter than the batch count streams one edge a batch
+        instead of indexing past the end of the stream."""
+        import json
+
+        metrics = tmp_path / "metrics.json"
+        wal = ["--wal-dir", str(tmp_path / "wal")] * (command == "stream-sim")
+        code = main([command, "--nodes", "60", "--edges", "40", *wal,
+                     *extra, *self.TINY, "--metrics-out", str(metrics)])
+        assert code == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["stream.controller.batches"] == live
+        assert counters["stream.controller.edges"] == live
+
+    @pytest.mark.parametrize("command, flag", [
+        ("stream-sim", "--batches"), ("pipeline-sim", "--batches"),
+        ("serve-sim", "--shards"), ("pipeline-sim", "--shards"),
+        ("serve-sim", "--replicas"), ("pipeline-sim", "--replicas"),
+    ])
+    def test_zero_count_is_a_usage_error(self, tmp_path, command, flag,
+                                         capsys):
+        wal = ["--wal-dir", str(tmp_path / "wal")] * (command == "stream-sim")
+        with pytest.raises(SystemExit) as exc:
+            main([command, *wal, flag, "0"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("serve-sim", ["--kill-replica", "0"]),
+        ("serve-sim", ["--autoscale"]),
+        ("serve-sim", ["--rebalance-every", "0.1"]),
+        ("serve-sim", ["--shards", "2", "--kill-replica", "2"]),
+        ("pipeline-sim", ["--kill-replica", "0:5"]),
+    ])
+    def test_bad_chaos_flags_fail_before_the_build(self, command, flags,
+                                                   capsys):
+        code = main([command, "--nodes", "60", "--edges", "400", *flags,
+                     *self.TINY])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --")
+        assert "input:" not in captured.out  # no embedding was built
+
+    def test_serve_sim_ingests_through_the_stream_controller(self, tmp_path):
+        import json
+
+        metrics = tmp_path / "metrics.json"
+        code = main(["serve-sim", "--nodes", "150", "--edges", "1000",
+                     "--update-batches", "3", "--update-interval", "0.01",
+                     *self.TINY, "--metrics-out", str(metrics)])
+        assert code == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["stream.controller.batches"] == 3
+        assert counters["serving.store.publishes"] == 4  # seed + 3 updates
+        assert "stream.wal.batches" not in counters  # no WAL
