@@ -17,6 +17,7 @@ the Fig. 5 sweep is a single code path.
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +32,132 @@ from repro.embedding.trainer import (
 )
 from repro.embedding.vocab import Vocabulary
 from repro.walk.corpus import WalkCorpus
+
+
+def num_batches(corpus: WalkCorpus, batch_sentences: int) -> int:
+    """Batches :func:`train_batches` runs per epoch (at least 1)."""
+    sentences = int(np.count_nonzero(corpus.lengths >= 2))
+    return max(1, -(-sentences // batch_sentences))
+
+
+def train_batches(
+    corpus: WalkCorpus,
+    batch_sentences: int,
+    config: SgnsConfig,
+    rng: np.random.Generator,
+    vocab: Vocabulary,
+    lr_at: Callable[[int], float],
+    step: Callable[[np.ndarray, np.ndarray, float], float],
+    stats: TrainerStats,
+    loss_sum: float = 0.0,
+) -> float:
+    """One epoch of batched training; returns ``loss_sum`` plus the
+    epoch's pair-weighted loss.
+
+    Walks with at least two nodes are taken in corpus order,
+    ``batch_sentences`` at a time, flattened straight out of the walk
+    matrix and turned into pairs by one :func:`generate_pairs` call.
+    With ``config.subsample_threshold`` set, one ``rng.random`` draw
+    covers the whole batch before the window draw.
+    ``step(centers, contexts, lr)`` applies batch ``i``'s update at
+    ``lr_at(i)`` and returns its mean pair loss; ``stats`` collects the
+    work counters.
+    """
+    rec = get_recorder()
+    keep = (vocab.keep_probabilities(config.subsample_threshold)
+            if config.subsample_threshold is not None else None)
+    rows = np.flatnonzero(corpus.lengths >= 2)
+    cols = np.arange(corpus.max_walk_length)
+    for i, base in enumerate(range(0, len(rows), batch_sentences)):
+        batch = rows[base: base + batch_sentences]
+        lengths = corpus.lengths[batch]
+        tokens = corpus.matrix[batch][cols < lengths[:, None]]
+        if keep is not None:
+            kept = rng.random(len(tokens)) < keep[tokens]
+            walk = np.repeat(np.arange(len(batch)), lengths)
+            lengths = np.bincount(walk[kept], minlength=len(batch))
+            tokens = tokens[kept]
+        bounds = np.zeros(len(batch) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=bounds[1:])
+        centers, contexts = generate_pairs(
+            tokens, config.window, rng, config.dynamic_window, bounds
+        )
+        lr = lr_at(i)
+        stats.sentences += len(batch)
+        if not len(centers):
+            continue
+        if rec.enabled:
+            rec.observe("sgns.lr", lr)
+        loss = step(centers, contexts, lr)
+        stats.pairs_trained += len(centers)
+        stats.updates += 1
+        stats.losses.append(loss)
+        # Pair-weighted: mean_loss is per pair in every trainer.
+        loss_sum += loss * len(centers)
+    return loss_sum
+
+
+def train_epochs(
+    corpus: WalkCorpus,
+    batch_sentences: int,
+    config: SgnsConfig,
+    rng: np.random.Generator,
+    vocab: Vocabulary,
+    step: Callable[[np.ndarray, np.ndarray, float], float],
+    stats: TrainerStats,
+    trainer: str,
+) -> float:
+    """All ``config.epochs`` epochs of :func:`train_batches` under one
+    linear lr decay, each in an ``sgns_epoch`` span; returns the
+    pair-weighted loss sum."""
+    rec = get_recorder()
+    per_epoch = num_batches(corpus, batch_sentences)
+    total = config.epochs * per_epoch
+    loss_sum = 0.0
+    for epoch in range(config.epochs):
+        with rec.span("sgns_epoch", epoch=epoch, trainer=trainer):
+            loss_sum = train_batches(
+                corpus, batch_sentences, config, rng, vocab,
+                lambda i: config.learning_rate_at(
+                    (epoch * per_epoch + i) / total),
+                step, stats, loss_sum,
+            )
+    return loss_sum
+
+
+class SgnsStep:
+    """The SGNS ``step`` for :func:`train_batches`: one stale-snapshot
+    update per batch, counting the negatives it draws (``K`` per batch
+    with ``shared_negatives``, else ``K`` per pair)."""
+
+    def __init__(self, model: SkipGramModel, sampler: NegativeSampler,
+                 config: SgnsConfig, rng: np.random.Generator) -> None:
+        self.model = model
+        self.sampler = sampler
+        self.config = config
+        self.rng = rng
+        self.negatives_drawn = 0
+
+    def __call__(self, centers: np.ndarray, contexts: np.ndarray,
+                 lr: float) -> float:
+        cfg, k = self.config, self.config.negatives
+        if cfg.shared_negatives:
+            shared = self.sampler.sample(k, self.rng)
+            negatives = np.broadcast_to(shared, (len(centers), k))
+            self.negatives_drawn += k
+        else:
+            negatives = self.sampler.sample_matrix(len(centers), k, self.rng)
+            self.negatives_drawn += len(centers) * k
+        # All pairs read this snapshot; the scatter-add below is the
+        # stale concurrent update of §V-B.
+        gc, go, gn, loss = self.model.batch_gradients(
+            centers, contexts, negatives
+        )
+        self.model.apply_batch(
+            centers, contexts, negatives, gc, go, gn, lr,
+            update=cfg.update_mode, cap=cfg.update_cap,
+        )
+        return loss
 
 
 class BatchedSgnsTrainer:
@@ -59,104 +186,15 @@ class BatchedSgnsTrainer:
         sampler = NegativeSampler(vocab)
         if model is None:
             model = SkipGramModel(num_nodes, cfg.dim, seed=rng)
-        keep = (
-            vocab.keep_probabilities(cfg.subsample_threshold)
-            if cfg.subsample_threshold is not None
-            else None
-        )
 
         stats = TrainerStats()
-        rec = get_recorder()
         start = time.perf_counter()
-        sentences = [s for s in corpus.sentences(min_length=2)]
-        total_batches = cfg.epochs * max(
-            1, -(-len(sentences) // self.batch_sentences)
-        )
-        # Mutable accumulators shared across the per-epoch spans.
-        acc = {"batch_index": 0, "loss_accum": 0.0, "negatives_drawn": 0}
-        for epoch in range(cfg.epochs):
-            with rec.span("sgns_epoch", epoch=epoch, trainer="batched"):
-                self._train_epoch(
-                    sentences, vocab, sampler, model, keep, rng,
-                    total_batches, stats, acc, rec,
-                )
-
+        step = SgnsStep(model, sampler, cfg, rng)
+        loss_sum = train_epochs(corpus, self.batch_sentences, cfg, rng, vocab,
+                                step, stats, "batched")
+        stats.fp_ops = stats.pairs_trained * (1 + cfg.negatives) * 4 * cfg.dim
         stats.wall_seconds = time.perf_counter() - start
-        stats.mean_loss = acc["loss_accum"] / max(1, stats.pairs_trained)
+        stats.mean_loss = loss_sum / max(1, stats.pairs_trained)
         self.last_stats = stats
-        publish_trainer_stats(stats, negatives_drawn=acc["negatives_drawn"])
+        publish_trainer_stats(stats, negatives_drawn=step.negatives_drawn)
         return model
-
-    def _train_epoch(
-        self,
-        sentences: list[np.ndarray],
-        vocab: Vocabulary,
-        sampler: NegativeSampler,
-        model: SkipGramModel,
-        keep: np.ndarray | None,
-        rng: np.random.Generator,
-        total_batches: int,
-        stats: TrainerStats,
-        acc: dict,
-        rec,
-    ) -> None:
-        """One epoch: batch the sentences, one vectorized update each."""
-        cfg = self.config
-        track = rec.enabled
-        for base in range(0, len(sentences), self.batch_sentences):
-            batch = sentences[base: base + self.batch_sentences]
-            centers_parts: list[np.ndarray] = []
-            contexts_parts: list[np.ndarray] = []
-            for sentence in batch:
-                if keep is not None:
-                    sentence = vocab.subsample_sentence(sentence, keep, rng)
-                    if len(sentence) < 2:
-                        continue
-                c, o = generate_pairs(
-                    sentence, cfg.window, rng, cfg.dynamic_window
-                )
-                if len(c):
-                    centers_parts.append(c)
-                    contexts_parts.append(o)
-            lr = self._lr(acc["batch_index"], total_batches)
-            acc["batch_index"] += 1
-            stats.sentences += len(batch)
-            if not centers_parts:
-                continue
-            if track:
-                rec.observe("sgns.lr", lr)
-            centers = np.concatenate(centers_parts)
-            contexts = np.concatenate(contexts_parts)
-            if cfg.shared_negatives:
-                shared = sampler.sample(cfg.negatives, rng)
-                negatives = np.broadcast_to(
-                    shared, (len(centers), cfg.negatives)
-                ).copy()
-                acc["negatives_drawn"] += cfg.negatives
-            else:
-                negatives = sampler.sample_matrix(
-                    len(centers), cfg.negatives, rng
-                )
-                acc["negatives_drawn"] += len(centers) * cfg.negatives
-            # All pairs read this snapshot; the scatter-add below is the
-            # stale concurrent update of §V-B.
-            gc, go, gn, loss = model.batch_gradients(centers, contexts, negatives)
-            model.apply_batch(
-                centers, contexts, negatives, gc, go, gn, lr,
-                update=cfg.update_mode, cap=cfg.update_cap,
-            )
-            stats.pairs_trained += len(centers)
-            stats.updates += 1
-            stats.fp_ops += len(centers) * (1 + cfg.negatives) * 4 * cfg.dim
-            # Pair-weighted accumulation: mean_loss is per-pair, the
-            # same unit the sequential trainer reports.
-            acc["loss_accum"] += loss * len(centers)
-            stats.losses.append(loss)
-
-    def _lr(self, batch_index: int, total_batches: int) -> float:
-        """Linear decay over batches, floored."""
-        cfg = self.config
-        if total_batches <= 0:
-            return cfg.learning_rate
-        frac = min(1.0, batch_index / total_batches)
-        return max(cfg.min_learning_rate, cfg.learning_rate * (1.0 - frac))

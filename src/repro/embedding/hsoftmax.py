@@ -19,12 +19,16 @@ do under negative sampling.
 from __future__ import annotations
 
 import heapq
+import time
 
 import numpy as np
 
 from repro.errors import EmbeddingError
 from repro.rng import SeedLike, make_rng
-from repro.embedding.skipgram import sigmoid
+from repro.embedding.batched import train_epochs
+from repro.embedding.skipgram import SkipGramModel, sigmoid
+from repro.embedding.trainer import TrainerStats, publish_trainer_stats
+from repro.embedding.vocab import Vocabulary
 
 
 class HuffmanTree:
@@ -180,8 +184,6 @@ class HierarchicalSoftmaxModel:
         cap: int = 128,
     ) -> None:
         """Scatter updates with the same combining modes as SGNS."""
-        from repro.embedding.skipgram import SkipGramModel
-
         SkipGramModel._scatter(self.w_in, centers, grad_center, lr,
                                update, cap)
         flat_rows = paths.reshape(-1)
@@ -233,62 +235,27 @@ class BatchedHsTrainer:
     def train(self, corpus, num_nodes: int, seed: SeedLike = None
               ) -> HierarchicalSoftmaxModel:
         """Train over the corpus; returns the fitted model."""
-        import time
-
-        from repro.embedding.skipgram import generate_pairs
-        from repro.embedding.trainer import TrainerStats
-        from repro.embedding.vocab import Vocabulary
-
         cfg = self.config
         rng = make_rng(seed)
         vocab = Vocabulary.from_corpus(corpus, num_nodes)
         model = HierarchicalSoftmaxModel(vocab.counts, cfg.dim, seed=rng)
 
+        def step(centers, contexts, lr):
+            gc, gi, paths, mask, loss = model.batch_gradients(
+                centers, contexts
+            )
+            model.apply_batch(centers, gc, gi, paths, mask, lr,
+                              update=cfg.update_mode, cap=cfg.update_cap)
+            return loss
+
         stats = TrainerStats()
         start = time.perf_counter()
-        sentences = [s for s in corpus.sentences(min_length=2)]
-        total_batches = cfg.epochs * max(
-            1, -(-len(sentences) // self.batch_sentences)
-        )
-        batch_index = 0
-        loss_accum = 0.0
-        for _epoch in range(cfg.epochs):
-            for base in range(0, len(sentences), self.batch_sentences):
-                batch = sentences[base: base + self.batch_sentences]
-                centers_parts, contexts_parts = [], []
-                for sentence in batch:
-                    c, o = generate_pairs(
-                        sentence, cfg.window, rng, cfg.dynamic_window
-                    )
-                    if len(c):
-                        centers_parts.append(c)
-                        contexts_parts.append(o)
-                frac = min(1.0, batch_index / total_batches)
-                lr = max(cfg.min_learning_rate,
-                         cfg.learning_rate * (1.0 - frac))
-                batch_index += 1
-                stats.sentences += len(batch)
-                if not centers_parts:
-                    continue
-                centers = np.concatenate(centers_parts)
-                contexts = np.concatenate(contexts_parts)
-                gc, gi, paths, mask, loss = model.batch_gradients(
-                    centers, contexts
-                )
-                model.apply_batch(
-                    centers, gc, gi, paths, mask, lr,
-                    update=cfg.update_mode, cap=cfg.update_cap,
-                )
-                stats.pairs_trained += len(centers)
-                stats.updates += 1
-                stats.fp_ops += int(
-                    len(centers) * model.tree.max_code_length * 4 * cfg.dim
-                )
-                # Pair-weighted, like the SGNS trainers: mean_loss is
-                # per-pair regardless of batch size.
-                loss_accum += loss * len(centers)
-                stats.losses.append(loss)
+        loss_sum = train_epochs(corpus, self.batch_sentences, cfg, rng, vocab,
+                                step, stats, "hsoftmax")
+        stats.fp_ops = (stats.pairs_trained * model.tree.max_code_length
+                        * 4 * cfg.dim)
         stats.wall_seconds = time.perf_counter() - start
-        stats.mean_loss = loss_accum / max(1, stats.pairs_trained)
+        stats.mean_loss = loss_sum / max(1, stats.pairs_trained)
         self.last_stats = stats
+        publish_trainer_stats(stats)
         return model

@@ -13,8 +13,6 @@ model; they differ only in *when* parameter updates become visible.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.errors import EmbeddingError
@@ -22,41 +20,57 @@ from repro.rng import SeedLike, make_rng
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function.
+
+    Branch-free: ``exp(-|x|)`` never overflows, and each side of the
+    select is the textbook form for its sign, so the result is
+    bit-identical to evaluating the two halves separately.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def generate_pairs(
-    sentence: np.ndarray,
+    tokens: np.ndarray,
     window: int,
     rng: np.random.Generator,
     dynamic_window: bool = True,
+    bounds: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Emit (center, context) pairs from one walk.
+    """Emit (center, context) pairs from a batch of walks.
 
+    ``tokens`` holds the walks back to back and ``bounds`` (length
+    ``S + 1``) their offsets, so walk ``s`` is
+    ``tokens[bounds[s]:bounds[s + 1]]``; ``bounds=None`` means one walk.
     Mirrors word2vec: for each center position, the effective window
     shrinks to a uniform random ``b in [1, window]`` (``dynamic_window``),
-    which implicitly weights near contexts higher.  Returns parallel
-    center/context arrays; a sentence of < 2 nodes yields no pairs.
+    which implicitly weights near contexts higher, and never crosses the
+    center's own walk.  Walks of < 2 nodes yield no pairs and draw no
+    window.  One ``rng.integers`` call covers every other token, and
+    numpy's bounded draws do not depend on how a run is split, so the
+    result and the RNG state equal per-walk calls concatenated.
     """
-    n = len(sentence)
-    if n < 2:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    tokens = np.ascontiguousarray(tokens, dtype=np.int64)
+    n = len(tokens)
+    bounds = np.asarray([0, n] if bounds is None else bounds,
+                        dtype=np.int64)
+    lengths = np.diff(bounds)
+    first = np.repeat(bounds[:-1], lengths)  # each token's walk start
+    last = np.repeat(bounds[1:], lengths)    # ... and end (exclusive)
+    live = last - first >= 2
     if dynamic_window:
-        spans = rng.integers(1, window + 1, size=n)
+        spans = np.zeros(n, dtype=np.int64)
+        spans[live] = rng.integers(1, window + 1,
+                                   size=int(np.count_nonzero(live)))
     else:
-        spans = np.full(n, window, dtype=np.int64)
+        spans = np.where(live, window, 0)
     # Vectorized construction of the (center, context) stream in the
     # exact order of the natural double loop: centers ascend, and each
     # center's contexts ascend over [lo, hi) skipping the center itself.
     idx = np.arange(n, dtype=np.int64)
-    lo = np.maximum(0, idx - spans)
-    hi = np.minimum(n, idx + spans + 1)
+    lo = np.maximum(first, idx - spans)
+    hi = np.minimum(last, idx + spans + 1)
     counts = hi - lo - 1  # the center position is excluded
     total = int(counts.sum())
     if total == 0:
@@ -67,8 +81,7 @@ def generate_pairs(
     within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
     context_idx = np.repeat(lo, counts) + within
     context_idx += context_idx >= center_idx  # hop over the center
-    sent = np.ascontiguousarray(sentence, dtype=np.int64)
-    return (sent[center_idx], sent[context_idx])
+    return (tokens[center_idx], tokens[context_idx])
 
 
 class SkipGramModel:
@@ -132,9 +145,14 @@ class SkipGramModel:
         snapshot — applying these with a scatter-add is exactly the stale
         "concurrent model update" the paper's batched GPU kernel performs.
         """
-        v_c = self.w_in[centers]           # (B, d)
-        u_o = self.w_out[contexts]         # (B, d)
-        u_n = self.w_out[negatives]        # (B, K, d)
+        # One gather of every output row a pair touches; the positive
+        # and negative blocks are views into it.  ``np.take`` gathers
+        # rows several times faster than fancy indexing with a 2-D index.
+        v_c = np.take(self.w_in, centers, axis=0)      # (B, d)
+        u = np.take(self.w_out, np.column_stack((contexts, negatives)),
+                    axis=0)                            # (B, 1 + K, d)
+        u_o = u[:, 0]                                  # (B, d)
+        u_n = u[:, 1:]                                 # (B, K, d)
 
         pos_score = np.einsum("bd,bd->b", v_c, u_o)
         neg_score = np.einsum("bd,bkd->bk", v_c, u_n)
@@ -142,12 +160,13 @@ class SkipGramModel:
         pos_sig = sigmoid(pos_score)           # want -> 1
         neg_sig = sigmoid(neg_score)           # want -> 0
 
-        # dL/dscore: (sigma - target)
+        # dL/dscore: (sigma - target); the negatives' error is neg_sig.
         pos_err = (pos_sig - 1.0)[:, None]      # (B, 1)
-        neg_err = neg_sig[:, :, None]           # (B, K, 1)
 
         grad_context = pos_err * v_c                       # (B, d)
-        grad_negatives = neg_err * v_c[:, None, :]         # (B, K, d)
+        # einsum writes the (B, K, d) outer product about twice as fast
+        # as a broadcast multiply; the products are the same.
+        grad_negatives = np.einsum("bk,bd->bkd", neg_sig, v_c)
         grad_center = pos_err * u_o + np.einsum("bk,bkd->bd", neg_sig, u_n)
 
         with np.errstate(divide="ignore"):
@@ -212,9 +231,13 @@ class SkipGramModel:
         cap: int,
     ) -> None:
         uniq, inverse = np.unique(rows, return_inverse=True)
-        acc = np.zeros((len(uniq), matrix.shape[1]), dtype=np.float64)
-        np.add.at(acc, inverse, grads)
-        counts = np.bincount(inverse)
+        u = len(uniq)
+        # bincount sums each row's gradients in input order, so the
+        # result is bit-identical to a sequential scatter-add.
+        acc = np.empty((u, matrix.shape[1]), dtype=np.float64)
+        for j, column in enumerate(grads.T):
+            acc[:, j] = np.bincount(inverse, weights=column, minlength=u)
+        counts = np.bincount(inverse, minlength=u)
         if update == "mean":
             acc /= counts[:, None]
         elif update == "sqrt":

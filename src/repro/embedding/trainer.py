@@ -61,6 +61,12 @@ class SgnsConfig:
         if not 0 < self.learning_rate:
             raise EmbeddingError("learning_rate must be positive")
 
+    def learning_rate_at(self, frac: float) -> float:
+        """Linear decay over the run's progress ``frac``, floored (the
+        word2vec schedule)."""
+        return max(self.min_learning_rate,
+                   self.learning_rate * (1.0 - min(1.0, frac)))
+
 
 @dataclass
 class TrainerStats:
@@ -196,10 +202,4 @@ class SequentialSgnsTrainer:
 
     def _lr(self, seen: int, total: int) -> float:
         """Linear learning-rate decay, floored (word2vec schedule)."""
-        cfg = self.config
-        if total <= 0:
-            return cfg.learning_rate
-        frac = min(1.0, seen / total)
-        return max(
-            cfg.min_learning_rate, cfg.learning_rate * (1.0 - frac)
-        )
+        return self.config.learning_rate_at(seen / total)

@@ -27,9 +27,14 @@ from repro.errors import EmbeddingError
 from repro.faults import FaultPlan
 from repro.observability import get_recorder
 from repro.rng import SeedLike, make_rng
-from repro.embedding.batched import BatchedSgnsTrainer
+from repro.embedding.batched import (
+    BatchedSgnsTrainer,
+    SgnsStep,
+    num_batches,
+    train_batches,
+)
 from repro.embedding.negative import NegativeSampler
-from repro.embedding.skipgram import SkipGramModel, generate_pairs
+from repro.embedding.skipgram import SkipGramModel
 from repro.embedding.trainer import (
     SequentialSgnsTrainer,
     SgnsConfig,
@@ -47,7 +52,7 @@ from repro.walk.corpus import WalkCorpus
 
 
 def _train_shard(
-    sentences: list[np.ndarray],
+    shard: WalkCorpus,
     counts: np.ndarray,
     w_in: np.ndarray,
     w_out: np.ndarray,
@@ -56,8 +61,8 @@ def _train_shard(
     seed_seq: np.random.SeedSequence,
     lr_frac0: float,
     lr_frac1: float,
-) -> tuple[np.ndarray, np.ndarray, dict, list[float]]:
-    """Worker body: one epoch of batched SGNS over one sentence shard.
+) -> tuple[np.ndarray, np.ndarray, TrainerStats, float, int]:
+    """Worker body: one epoch of batched SGNS over one walk shard.
 
     ``counts`` are the *global* corpus node frequencies, so every
     worker negative-samples from the same unigram^0.75 distribution
@@ -71,59 +76,17 @@ def _train_shard(
     model = SkipGramModel.__new__(SkipGramModel)
     model.w_in = w_in.copy()
     model.w_out = w_out.copy()
-    keep = (
-        vocab.keep_probabilities(config.subsample_threshold)
-        if config.subsample_threshold is not None
-        else None
-    )
 
-    counters = {
-        "pairs_trained": 0, "sentences": 0, "updates": 0, "fp_ops": 0,
-        "loss_pair_sum": 0.0,
-    }
-    losses: list[float] = []
-    num_batches = max(1, -(-len(sentences) // batch_sentences))
-    batch_index = 0
-    for base in range(0, len(sentences), batch_sentences):
-        batch = sentences[base: base + batch_sentences]
-        centers_parts: list[np.ndarray] = []
-        contexts_parts: list[np.ndarray] = []
-        for sentence in batch:
-            if keep is not None:
-                sentence = vocab.subsample_sentence(sentence, keep, rng)
-                if len(sentence) < 2:
-                    continue
-            c, o = generate_pairs(
-                sentence, config.window, rng, config.dynamic_window
-            )
-            if len(c):
-                centers_parts.append(c)
-                contexts_parts.append(o)
-        frac = lr_frac0 + (batch_index / num_batches) * (lr_frac1 - lr_frac0)
-        lr = max(
-            config.min_learning_rate,
-            config.learning_rate * (1.0 - min(1.0, frac)),
-        )
-        batch_index += 1
-        counters["sentences"] += len(batch)
-        if not centers_parts:
-            continue
-        centers = np.concatenate(centers_parts)
-        contexts = np.concatenate(contexts_parts)
-        negatives = sampler.sample_matrix(len(centers), config.negatives, rng)
-        gc, go, gn, loss = model.batch_gradients(centers, contexts, negatives)
-        model.apply_batch(
-            centers, contexts, negatives, gc, go, gn, lr,
-            update=config.update_mode, cap=config.update_cap,
-        )
-        counters["pairs_trained"] += len(centers)
-        counters["updates"] += 1
-        counters["fp_ops"] += (
-            len(centers) * (1 + config.negatives) * 4 * config.dim
-        )
-        counters["loss_pair_sum"] += loss * len(centers)
-        losses.append(loss)
-    return model.w_in, model.w_out, counters, losses
+    stats = TrainerStats()
+    step = SgnsStep(model, sampler, config, rng)
+    n = num_batches(shard, batch_sentences)
+    loss_sum = train_batches(
+        shard, batch_sentences, config, rng, vocab,
+        lambda i: config.learning_rate_at(
+            lr_frac0 + (i / n) * (lr_frac1 - lr_frac0)),
+        step, stats,
+    )
+    return model.w_in, model.w_out, stats, loss_sum, step.negatives_drawn
 
 
 class ParallelSgnsTrainer:
@@ -184,12 +147,15 @@ class ParallelSgnsTrainer:
 
         stats = TrainerStats()
         start = time.perf_counter()
-        sentences = [s for s in corpus.sentences(min_length=2)]
+        rows = np.flatnonzero(corpus.lengths >= 2)
         # Round-robin sharding balances shard token counts even when
         # walk lengths are skewed (consecutive walks share a start
         # node, so contiguous shards would be imbalanced).
-        shards = [sentences[w::self.workers] for w in range(self.workers)]
-        shards = [s for s in shards if s]
+        shards = [
+            WalkCorpus(corpus.matrix[r], corpus.lengths[r])
+            for r in (rows[w::self.workers] for w in range(self.workers))
+            if len(r)
+        ]
         seed_seqs = rng.bit_generator.seed_seq.spawn(
             max(1, len(shards)) * cfg.epochs
         )
@@ -197,6 +163,7 @@ class ParallelSgnsTrainer:
         ctx = _mp_context()
         rec = get_recorder()
         loss_pair_sum = 0.0
+        negatives_drawn = 0
         self.last_shard_reports = []
         for epoch in range(cfg.epochs):
             frac0 = epoch / cfg.epochs
@@ -231,18 +198,17 @@ class ParallelSgnsTrainer:
             # point (the §V-B stale-read trick across processes).
             model.w_in = np.mean([r[0] for r in results], axis=0)
             model.w_out = np.mean([r[1] for r in results], axis=0)
-            for _, _, counters, losses in results:
-                stats.pairs_trained += counters["pairs_trained"]
-                stats.sentences += counters["sentences"]
-                stats.updates += counters["updates"]
-                stats.fp_ops += counters["fp_ops"]
-                loss_pair_sum += counters["loss_pair_sum"]
-                stats.losses.extend(losses)
+            for _, _, shard_stats, shard_loss, shard_drawn in results:
+                stats.pairs_trained += shard_stats.pairs_trained
+                stats.sentences += shard_stats.sentences
+                stats.updates += shard_stats.updates
+                stats.losses.extend(shard_stats.losses)
+                loss_pair_sum += shard_loss
+                negatives_drawn += shard_drawn
 
+        stats.fp_ops = stats.pairs_trained * (1 + cfg.negatives) * 4 * cfg.dim
         stats.wall_seconds = time.perf_counter() - start
         stats.mean_loss = loss_pair_sum / max(1, stats.pairs_trained)
         self.last_stats = stats
-        publish_trainer_stats(
-            stats, negatives_drawn=stats.pairs_trained * cfg.negatives
-        )
+        publish_trainer_stats(stats, negatives_drawn=negatives_drawn)
         return model

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import EmbeddingError
 from repro.embedding.skipgram import SkipGramModel, generate_pairs, sigmoid
@@ -125,6 +127,99 @@ class TestGeneratePairsVectorized:
         fast = best_of(generate_pairs)
         slow = best_of(_reference_generate_pairs)
         assert fast * 2 < slow
+
+
+class TestGeneratePairsBatched:
+    """The batch form (flat tokens plus per-walk ``bounds``) must equal
+    per-walk calls concatenated: same pairs, same RNG state after."""
+
+    @given(
+        st.lists(st.lists(st.integers(0, 20), max_size=9), max_size=12),
+        st.integers(1, 6),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_walk_calls(self, walks, window, dynamic, seed):
+        tokens = np.array([v for w in walks for v in w], dtype=np.int64)
+        bounds = np.zeros(len(walks) + 1, dtype=np.int64)
+        np.cumsum([len(w) for w in walks], out=bounds[1:])
+        rng_batch = np.random.default_rng(seed)
+        c, o = generate_pairs(tokens, window, rng_batch, dynamic, bounds)
+        rng_walk = np.random.default_rng(seed)
+        parts = [
+            _reference_generate_pairs(np.array(w, dtype=np.int64), window,
+                                      rng_walk, dynamic)
+            for w in walks
+        ]
+        empty = [np.empty(0, dtype=np.int64)]
+        assert np.array_equal(c, np.concatenate(empty + [p[0] for p in parts]))
+        assert np.array_equal(o, np.concatenate(empty + [p[1] for p in parts]))
+        assert c.dtype == np.int64 and o.dtype == np.int64
+        assert rng_batch.bit_generator.state == rng_walk.bit_generator.state
+
+    def test_batch_of_single_node_walks_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        c, o = generate_pairs(np.arange(5), 4, rng,
+                              bounds=np.arange(6))
+        assert len(c) == 0 and len(o) == 0
+        assert rng.bit_generator.state == before
+
+
+def _reference_sigmoid(x):
+    """The pre-branch-free masked form, kept as the bit-identity oracle."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _reference_scatter(matrix, rows, grads, lr, update, cap):
+    """The pre-bincount ``np.add.at`` scatter, kept as the oracle."""
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    acc = np.zeros((len(uniq), matrix.shape[1]), dtype=np.float64)
+    np.add.at(acc, inverse, grads)
+    counts = np.bincount(inverse)
+    if update == "mean":
+        acc /= counts[:, None]
+    elif update == "sqrt":
+        acc /= np.sqrt(counts)[:, None]
+    elif update == "capped":
+        acc /= np.maximum(1.0, counts / cap)[:, None]
+    matrix[uniq] -= lr * acc
+
+
+def _hard_floats(rng, size):
+    """Normals mixed with +-1e6, zeros of both signs and denormals."""
+    x = rng.normal(0, 5, size=size)
+    specials = np.array([1e6, -1e6, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                         -1e-310, 745.0, -745.0, 36.0, -36.0])
+    pick = rng.random(size) < 0.3
+    x[pick] = rng.choice(specials, size=int(pick.sum()))
+    return x
+
+
+class TestKernelsBitIdentical:
+    def test_sigmoid_matches_masked_form(self, rng):
+        x = _hard_floats(rng, 5000)
+        assert np.array_equal(sigmoid(x), _reference_sigmoid(x))
+        grid = x.reshape(50, 100)
+        assert np.array_equal(sigmoid(grid), _reference_sigmoid(grid))
+
+    @pytest.mark.parametrize("update", ["sum", "mean", "sqrt", "capped"])
+    def test_scatter_matches_add_at(self, rng, update):
+        # Heavily duplicated rows: a handful of hubs take most updates.
+        rows = np.where(rng.random(4000) < 0.8, rng.integers(0, 3, 4000),
+                        rng.integers(0, 50, 4000))
+        grads = _hard_floats(rng, 4000 * 6).reshape(4000, 6)
+        fast = rng.normal(size=(50, 6))
+        slow = fast.copy()
+        SkipGramModel._scatter(fast, rows, grads, 0.025, update, 16)
+        _reference_scatter(slow, rows, grads, 0.025, update, 16)
+        assert np.array_equal(fast, slow)
 
 
 class TestSkipGramModel:
