@@ -24,7 +24,11 @@ import numpy as np
 from repro.observability import get_recorder
 from repro.rng import SeedLike, make_rng
 from repro.embedding.negative import NegativeSampler
-from repro.embedding.skipgram import SkipGramModel, generate_pairs
+from repro.embedding.skipgram import (
+    SgnsWorkspace,
+    SkipGramModel,
+    generate_pairs,
+)
 from repro.embedding.trainer import (
     SgnsConfig,
     TrainerStats,
@@ -128,7 +132,8 @@ def train_epochs(
 class SgnsStep:
     """The SGNS ``step`` for :func:`train_batches`: one stale-snapshot
     update per batch, counting the negatives it draws (``K`` per batch
-    with ``shared_negatives``, else ``K`` per pair)."""
+    with ``shared_negatives``, else ``K`` per pair).  Its workspace holds
+    the step's batch-sized arrays, reused batch after batch."""
 
     def __init__(self, model: SkipGramModel, sampler: NegativeSampler,
                  config: SgnsConfig, rng: np.random.Generator) -> None:
@@ -137,6 +142,7 @@ class SgnsStep:
         self.config = config
         self.rng = rng
         self.negatives_drawn = 0
+        self.work = SgnsWorkspace()
 
     def __call__(self, centers: np.ndarray, contexts: np.ndarray,
                  lr: float) -> float:
@@ -151,11 +157,11 @@ class SgnsStep:
         # All pairs read this snapshot; the scatter-add below is the
         # stale concurrent update of §V-B.
         gc, go, gn, loss = self.model.batch_gradients(
-            centers, contexts, negatives
+            centers, contexts, negatives, work=self.work
         )
         self.model.apply_batch(
             centers, contexts, negatives, gc, go, gn, lr,
-            update=cfg.update_mode, cap=cfg.update_cap,
+            update=cfg.update_mode, cap=cfg.update_cap, work=self.work,
         )
         return loss
 

@@ -33,26 +33,28 @@ class AliasTable:
         if total <= 0:
             raise EmbeddingError("weights must not all be zero")
         n = len(weights)
-        prob = weights * (n / total)
-        self.prob = np.ones(n, dtype=np.float64)
-        self.alias = np.arange(n, dtype=np.int64)
+        # Python floats are IEEE doubles, so this list-based stack loop
+        # computes the same tables as numpy-scalar indexing, faster.
+        prob = (weights * (n / total)).tolist()
+        table = [1.0] * n
+        alias = list(range(n))
 
-        small = [i for i in range(n) if prob[i] < 1.0]
-        large = [i for i in range(n) if prob[i] >= 1.0]
+        small = [i for i, p in enumerate(prob) if p < 1.0]
+        large = [i for i, p in enumerate(prob) if p >= 1.0]
         while small and large:
             s = small.pop()
             l = large.pop()
-            self.prob[s] = prob[s]
-            self.alias[s] = l
+            table[s] = prob[s]
+            alias[s] = l
             prob[l] = prob[l] - (1.0 - prob[s])
             if prob[l] < 1.0:
                 small.append(l)
             else:
                 large.append(l)
-        # Leftovers are 1.0 within float error; keep their own index.
-        for i in small + large:
-            self.prob[i] = 1.0
-            self.alias[i] = i
+        # Leftovers are 1.0 within float error; they keep table 1.0 and
+        # their own index.
+        self.prob = np.array(table, dtype=np.float64)
+        self.alias = np.array(alias, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.prob)

@@ -16,19 +16,101 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import EmbeddingError
+from repro.nn.layers import sigmoid
 from repro.rng import SeedLike, make_rng
 
+_UPDATE_MODES = ("mean", "sum", "sqrt", "capped")
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function.
 
-    Branch-free: ``exp(-|x|)`` never overflows, and each side of the
-    select is the textbook form for its sign, so the result is
-    bit-identical to evaluating the two halves separately.
+def check_update(update: str, cap: int) -> None:
+    """Reject an unknown update mode or a cap below one contribution."""
+    if update not in _UPDATE_MODES:
+        raise EmbeddingError(
+            f"update must be one of {', '.join(map(repr, _UPDATE_MODES))}; "
+            f"got {update!r}"
+        )
+    if cap < 1:
+        raise EmbeddingError(f"update cap must be >= 1, got {cap}")
+
+
+def _check_ids(ids: np.ndarray, size: int) -> None:
+    """Raise ``IndexError`` unless every id indexes a row of ``size``.
+
+    The gathers below run with ``mode="clip"`` (``mode="raise"`` makes
+    ``np.take(out=...)`` buffer a copy), so this is their range check;
+    unlike plain indexing it also rejects negative ids.
     """
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    if len(ids) and (ids.min() < 0 or ids.max() >= size):
+        bad = ids[(ids < 0) | (ids >= size)][0]
+        raise IndexError(
+            f"index {bad} is out of bounds for axis 0 with size {size}"
+        )
+
+
+class SgnsWorkspace:
+    """Grow-only scratch memory for SGNS batch steps.
+
+    Holds every batch-sized array of :meth:`SkipGramModel.batch_gradients`
+    and :meth:`SkipGramModel.apply_batch`: the ``[contexts | negatives]``
+    row ids, the gathered embedding rows, the gradients (stored
+    transposed, one contiguous row per embedding column, so the scatter's
+    per-column ``bincount`` reads contiguous memory) and the row-index
+    stamps, which are vocabulary-sized.  A trainer keeps one for a whole
+    run, so steady-state batches allocate nothing batch-sized; gradients
+    returned with a workspace are views into it and stay valid only
+    until its next use.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self._arange = np.empty(0, dtype=np.int64)
+        # The (grad_context, grad_negatives) views batch_gradients last
+        # returned; apply_batch scatters these without copying them.
+        self.out_grads: tuple[np.ndarray | None, ...] = (None, None)
+
+    def buffer(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        """The first ``size`` elements of buffer ``name``, contents
+        undefined; grows it by at least a quarter when it is too short."""
+        buf = self._buffers.get(name)
+        if buf is None or len(buf) < size:
+            grown = 0 if buf is None else len(buf) + len(buf) // 4
+            buf = self._buffers[name] = np.empty(max(size, grown),
+                                                 dtype=dtype)
+        return buf[:size]
+
+    def arange(self, size: int) -> np.ndarray:
+        """``np.arange(size)`` as a view of a cached int64 array."""
+        if len(self._arange) < size:
+            self._arange = np.arange(max(size, len(self._arange) * 5 // 4),
+                                     dtype=np.int64)
+        return self._arange[:size]
+
+    def row_index(self, rows: np.ndarray, num_rows: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """``(uniq, inverse)`` with ``uniq[inverse] == rows``, in O(n).
+
+        ``uniq`` holds each distinct row once, in no particular order.
+        Two ``num_rows``-sized stamps index the rows without sorting:
+        ``seen[r]`` ends up holding one position of row ``r``, which
+        elects that position as the row's representative, and
+        ``slot[r]`` numbers the representatives.  Neither stamp needs
+        clearing between calls, since every entry read was just written.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        n = len(rows)
+        index = self.arange(n)
+        seen = self.buffer("seen", num_rows, np.int64)
+        slot = self.buffer("slot", num_rows, np.int64)
+        seen[rows] = index
+        first = np.take(seen, rows, out=self.buffer("stamp", n, np.int64),
+                        mode="clip")
+        mask = np.equal(first, index, out=self.buffer("mask", n, np.bool_))
+        uniq = np.compress(
+            mask, rows,
+            out=self.buffer("uniq", int(np.count_nonzero(mask)), np.int64))
+        slot[uniq] = index[: len(uniq)]
+        inverse = np.take(slot, rows, out=first, mode="clip")
+        return uniq, inverse
 
 
 def generate_pairs(
@@ -84,6 +166,17 @@ def generate_pairs(
     return (tokens[center_idx], tokens[context_idx])
 
 
+def _out_rows(work: SgnsWorkspace, contexts: np.ndarray,
+              negatives: np.ndarray) -> np.ndarray:
+    """``[contexts | negatives.ravel()]``, the output rows in scatter
+    order, written into ``work``."""
+    b = len(contexts)
+    rows = work.buffer("rows", b * (1 + negatives.shape[1]), np.int64)
+    rows[:b] = contexts
+    rows[b:].reshape(negatives.shape)[...] = negatives
+    return rows
+
+
 class SkipGramModel:
     """SGNS parameter matrices with batched loss/gradient evaluation."""
 
@@ -135,6 +228,7 @@ class SkipGramModel:
         centers: np.ndarray,
         contexts: np.ndarray,
         negatives: np.ndarray,
+        work: SgnsWorkspace | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Evaluate gradients for a batch of pairs against *current* weights.
 
@@ -144,35 +238,55 @@ class SkipGramModel:
         corresponding embedding gathers.  All pairs read the same weight
         snapshot — applying these with a scatter-add is exactly the stale
         "concurrent model update" the paper's batched GPU kernel performs.
+
+        The gradients live in ``work`` (a fresh workspace when ``None``)
+        as transposed views; with a shared workspace they stay valid only
+        until its next use.  Ids outside ``[0, num_nodes)`` raise
+        ``IndexError``.
         """
-        # One gather of every output row a pair touches; the positive
-        # and negative blocks are views into it.  ``np.take`` gathers
-        # rows several times faster than fancy indexing with a 2-D index.
-        v_c = np.take(self.w_in, centers, axis=0)      # (B, d)
-        u = np.take(self.w_out, np.column_stack((contexts, negatives)),
-                    axis=0)                            # (B, 1 + K, d)
-        u_o = u[:, 0]                                  # (B, d)
-        u_n = u[:, 1:]                                 # (B, K, d)
+        work = SgnsWorkspace() if work is None else work
+        work.out_grads = (None, None)  # lets a grown buffer free the old
+        b, k = negatives.shape
+        d, n = self.dim, b * (1 + k)
+        _check_ids(centers, self.num_nodes)
+        rows = _out_rows(work, contexts, negatives)
+        _check_ids(rows, self.num_nodes)
+        # One gather per matrix, into reused buffers.  The output rows
+        # come in scatter order, [contexts | negatives], so ``u_o`` and
+        # ``u_n`` are contiguous blocks of one gather.
+        v_c = np.take(self.w_in, centers, axis=0, mode="clip",
+                      out=work.buffer("v_c", b * d).reshape(b, d))
+        u = np.take(self.w_out, rows, axis=0, mode="clip",
+                    out=work.buffer("gather", n * d).reshape(n, d))
+        u_o = u[:b]                                    # (B, d)
+        u_n = u[b:].reshape(b, k, d)                   # (B, K, d)
 
-        pos_score = np.einsum("bd,bd->b", v_c, u_o)
-        neg_score = np.einsum("bd,bkd->bk", v_c, u_n)
-
-        pos_sig = sigmoid(pos_score)           # want -> 1
-        neg_sig = sigmoid(neg_score)           # want -> 0
+        pos_sig = sigmoid(np.einsum("bd,bd->b", v_c, u_o))     # want -> 1
+        neg_sig = sigmoid(np.einsum("bd,bkd->bk", v_c, u_n))   # want -> 0
 
         # dL/dscore: (sigma - target); the negatives' error is neg_sig.
         pos_err = (pos_sig - 1.0)[:, None]      # (B, 1)
 
-        grad_context = pos_err * v_c                       # (B, d)
-        # einsum writes the (B, K, d) outer product about twice as fast
-        # as a broadcast multiply; the products are the same.
-        grad_negatives = np.einsum("bk,bd->bkd", neg_sig, v_c)
-        grad_center = pos_err * u_o + np.einsum("bk,bkd->bd", neg_sig, u_n)
+        grad_center = np.einsum(
+            "bk,bkd->bd", neg_sig, u_n,
+            out=work.buffer("grad_center", d * b).reshape(d, b).T)
+        grad_center += np.multiply(pos_err, u_o, out=u_o)
+        # The gathered rows are dead now; their buffer takes the output
+        # gradients, transposed: row j of ``grad_out`` is column j of
+        # ``[grad_context | grad_negatives]`` in scatter order.
+        grad_out = work.buffer("gather", d * n).reshape(d, n)
+        grad_context = np.multiply(pos_err, v_c, out=grad_out[:, :b].T)
+        grad_negatives = np.einsum(
+            "bk,bd->dbk", neg_sig, v_c,
+            out=grad_out[:, b:].reshape(d, b, k)).transpose(1, 2, 0)
+        work.out_grads = (grad_context, grad_negatives)
 
         with np.errstate(divide="ignore"):
-            loss = -np.log(np.maximum(pos_sig, 1e-12)) - np.sum(
-                np.log(np.maximum(1.0 - neg_sig, 1e-12)), axis=1
-            )
+            np.maximum(pos_sig, 1e-12, out=pos_sig)
+            np.subtract(1.0, neg_sig, out=neg_sig)
+            np.maximum(neg_sig, 1e-12, out=neg_sig)
+            loss = -np.log(pos_sig) - np.sum(np.log(neg_sig, out=neg_sig),
+                                             axis=1)
         return grad_center, grad_context, grad_negatives, float(loss.mean())
 
     def apply_batch(
@@ -186,6 +300,7 @@ class SkipGramModel:
         lr: float,
         update: str = "capped",
         cap: int = 128,
+        work: SgnsWorkspace | None = None,
     ) -> None:
         """Apply the batch's gradients with one scatter per matrix.
 
@@ -207,19 +322,25 @@ class SkipGramModel:
           progress, hot rows saturate — and it is the mode that matches
           the paper's "batching costs no accuracy" result on both
           community graphs and hub-heavy interaction graphs.
+
+        Gradients that :meth:`batch_gradients` wrote into ``work`` are
+        scattered in place; others are first copied into it.
         """
-        if update not in ("mean", "sum", "sqrt", "capped"):
-            raise EmbeddingError(
-                f"update must be one of 'mean', 'sum', 'sqrt', 'capped'; "
-                f"got {update!r}"
-            )
-        self._scatter(self.w_in, centers, grad_center, lr, update, cap)
-        flat_neg = negatives.reshape(-1)
-        out_rows = np.concatenate([contexts, flat_neg])
-        out_grads = np.concatenate(
-            [grad_context, grad_negatives.reshape(len(flat_neg), -1)], axis=0
-        )
-        self._scatter(self.w_out, out_rows, out_grads, lr, update, cap)
+        work = SgnsWorkspace() if work is None else work
+        b, k = negatives.shape
+        d, n = self.dim, b * (1 + k)
+        # Every id is checked before the first scatter changes anything.
+        _check_ids(centers, self.num_nodes)
+        rows = _out_rows(work, contexts, negatives)
+        _check_ids(rows, self.num_nodes)
+        self._scatter(self.w_in, centers, grad_center, lr, update, cap, work)
+        grad_out = work.buffer("gather", d * n).reshape(d, n)
+        ctx, neg = work.out_grads
+        if ctx is not grad_context or neg is not grad_negatives:
+            grad_out[:, :b] = grad_context.T
+            grad_out[:, b:].reshape(d, b, k)[...] = (
+                grad_negatives.transpose(2, 0, 1))
+        self._scatter(self.w_out, rows, grad_out.T, lr, update, cap, work)
 
     @staticmethod
     def _scatter(
@@ -229,22 +350,34 @@ class SkipGramModel:
         lr: float,
         update: str,
         cap: int,
+        work: SgnsWorkspace | None = None,
     ) -> None:
-        uniq, inverse = np.unique(rows, return_inverse=True)
-        u = len(uniq)
+        """``matrix[r] -= lr * combined gradients of r`` for each row ``r``
+        in ``rows``; ``grads`` is ``(len(rows), d)``, fastest when it is
+        the transpose of a C-ordered array."""
+        check_update(update, cap)
+        work = SgnsWorkspace() if work is None else work
+        _check_ids(rows, len(matrix))
+        uniq, inverse = work.row_index(rows, len(matrix))
+        u, d = len(uniq), matrix.shape[1]
         # bincount sums each row's gradients in input order, so the
         # result is bit-identical to a sequential scatter-add.
-        acc = np.empty((u, matrix.shape[1]), dtype=np.float64)
+        acc = work.buffer("acc", d * u).reshape(d, u)
         for j, column in enumerate(grads.T):
-            acc[:, j] = np.bincount(inverse, weights=column, minlength=u)
+            acc[j] = np.bincount(inverse, weights=column, minlength=u)
         counts = np.bincount(inverse, minlength=u)
         if update == "mean":
-            acc /= counts[:, None]
+            acc /= counts
         elif update == "sqrt":
-            acc /= np.sqrt(counts)[:, None]
+            acc /= np.sqrt(counts)
         elif update == "capped":
-            acc /= np.maximum(1.0, counts / cap)[:, None]
-        matrix[uniq] -= lr * acc
+            acc /= np.maximum(1.0, counts / cap)
+        acc *= lr
+        # Distinct rows, so a gather, subtract and put is ``-=``.
+        moved = np.take(matrix, uniq, axis=0, mode="clip",
+                        out=work.buffer("moved", u * d).reshape(u, d))
+        moved -= acc.T
+        matrix[uniq] = moved
 
     # ------------------------------------------------------------------
     def save(self, path) -> None:

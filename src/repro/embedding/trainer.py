@@ -18,7 +18,12 @@ from repro.errors import EmbeddingError
 from repro.observability import Recorder, get_recorder
 from repro.rng import SeedLike, make_rng
 from repro.embedding.negative import NegativeSampler
-from repro.embedding.skipgram import SkipGramModel, generate_pairs
+from repro.embedding.skipgram import (
+    SgnsWorkspace,
+    SkipGramModel,
+    check_update,
+    generate_pairs,
+)
 from repro.embedding.vocab import Vocabulary
 from repro.walk.corpus import WalkCorpus
 
@@ -60,6 +65,7 @@ class SgnsConfig:
             raise EmbeddingError(f"epochs must be >= 1, got {self.epochs}")
         if not 0 < self.learning_rate:
             raise EmbeddingError("learning_rate must be positive")
+        check_update(self.update_mode, self.update_cap)
 
     def learning_rate_at(self, frac: float) -> float:
         """Linear decay over the run's progress ``frac``, floored (the
@@ -152,6 +158,7 @@ class SequentialSgnsTrainer:
         seen = 0
         loss_accum = 0.0
         negatives_drawn = 0
+        work = SgnsWorkspace()
         for epoch in range(cfg.epochs):
             with rec.span("sgns_epoch", epoch=epoch, trainer="sequential"):
                 for sentence in corpus.sentences(min_length=2):
@@ -176,11 +183,12 @@ class SequentialSgnsTrainer:
                         len(centers), cfg.negatives, rng
                     )
                     gc, go, gn, loss = model.batch_gradients(
-                        centers, contexts, negatives
+                        centers, contexts, negatives, work=work
                     )
                     model.apply_batch(
                         centers, contexts, negatives, gc, go, gn, lr,
                         update=cfg.update_mode, cap=cfg.update_cap,
+                        work=work,
                     )
                     if track:
                         rec.observe("sgns.lr", lr)

@@ -14,6 +14,21 @@ from repro.nn.module import Module, Parameter
 from repro.rng import SeedLike, make_rng
 
 
+def sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function, the one every layer uses.
+
+    Branch-free ``exp(min(x, 0)) / (1 + exp(-|x|))``: neither exponent is
+    positive, so nothing overflows, and the quotient is ``1 / (1 +
+    exp(-x))`` where ``x >= 0`` and ``exp(x) / (1 + exp(x))`` elsewhere,
+    the textbook form for each sign, so it is bit-identical to evaluating
+    the two halves separately.  Pass ``e`` when the caller already has
+    ``exp(-|x|)``; it is not modified.
+    """
+    if e is None:
+        e = np.exp(-np.abs(x))
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + e)
+
+
 def xavier_uniform(
     fan_in: int, fan_out: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -101,13 +116,8 @@ class Sigmoid(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forward pass; caches what backward needs."""
-        out = np.empty_like(x, dtype=np.float64)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        self._out = out
-        return out
+        self._out = sigmoid(x)
+        return self._out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backward pass; returns the input gradient."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TrainingError
+from repro.nn.layers import sigmoid
 
 
 class BCEWithLogitsLoss:
@@ -36,13 +37,9 @@ class BCEWithLogitsLoss:
             raise TrainingError(
                 f"logits ({len(z)}) and targets ({len(y)}) length mismatch"
             )
-        loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-        sig = np.empty_like(z)
-        pos = z >= 0
-        sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        sig[~pos] = ez / (1.0 + ez)
-        self._probs = sig
+        e = np.exp(-np.abs(z))
+        loss = np.maximum(z, 0.0) - z * y + np.log1p(e)
+        self._probs = sigmoid(z, e)
         self._targets = y
         return float(loss.mean())
 

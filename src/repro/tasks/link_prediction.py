@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.embedding.embeddings import NodeEmbeddings
 from repro.graph.edges import TemporalEdgeList
-from repro.nn.layers import Linear, ReLU
+from repro.nn.layers import Linear, ReLU, sigmoid
 from repro.nn.losses import BCEWithLogitsLoss
 from repro.nn.metrics import binary_accuracy, roc_auc
 from repro.nn.module import Module, Sequential
@@ -76,7 +76,7 @@ class TaskResult:
         features = self.scaler.transform(
             embeddings.edge_features(np.asarray(src), np.asarray(dst))
         )
-        return _sigmoid(self.model.forward(features).reshape(-1))
+        return sigmoid(self.model.forward(features).reshape(-1))
 
     def summary(self) -> str:
         """One-line human-readable result summary."""
@@ -98,15 +98,6 @@ def build_link_prediction_model(
         ReLU(),
         Linear(hidden_dim, 1, seed=rng),
     )
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 class LinkPredictionTask:
@@ -164,7 +155,7 @@ class LinkPredictionTask:
         loss = BCEWithLogitsLoss()
 
         def evaluate_accuracy(m: Module, x: np.ndarray, y: np.ndarray) -> float:
-            probs = _sigmoid(m.forward(x).reshape(-1))
+            probs = sigmoid(m.forward(x).reshape(-1))
             return binary_accuracy(probs, y)
 
         with rec.span("train", task="link-prediction"):
@@ -175,7 +166,7 @@ class LinkPredictionTask:
 
         with rec.span("test", task="link-prediction") as test_span:
             test_x, test_y = partitions["test"]
-            probs = _sigmoid(model.forward(test_x).reshape(-1))
+            probs = sigmoid(model.forward(test_x).reshape(-1))
             accuracy = binary_accuracy(probs, test_y)
             auc = roc_auc(probs, test_y)
         test_seconds = test_span.duration

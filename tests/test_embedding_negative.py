@@ -52,6 +52,47 @@ class TestAliasTable:
         assert np.array_equal(table.sample(100, 42), table.sample(100, 42))
 
 
+def _reference_alias(weights):
+    """The numpy-scalar construction the list-based build replaced."""
+    weights = np.asarray(weights, dtype=np.float64)
+    n = len(weights)
+    prob = weights * (n / weights.sum())
+    table = np.ones(n, dtype=np.float64)
+    alias = np.arange(n, dtype=np.int64)
+    small = [i for i in range(n) if prob[i] < 1.0]
+    large = [i for i in range(n) if prob[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        table[s] = prob[s]
+        alias[s] = l
+        prob[l] = prob[l] - (1.0 - prob[s])
+        if prob[l] < 1.0:
+            small.append(l)
+        else:
+            large.append(l)
+    for i in small + large:
+        table[i] = 1.0
+        alias[i] = i
+    return table, alias
+
+
+class TestAliasTableMatchesReference:
+    @pytest.mark.parametrize("weights", [
+        np.array([0.0, 3.0, 0.0, 0.0, 1.0]),   # zero weights
+        np.eye(9)[4],                           # a single nonzero weight
+        np.full(13, 2.5),                       # all equal
+        np.array([7.0]),                        # V = 1
+        np.random.default_rng(0).zipf(1.5, 5246).astype(float) ** 0.75,
+    ], ids=["zeros", "single-nonzero", "all-equal", "one-entry", "zipf"])
+    def test_tables_equal_reference(self, weights):
+        table = AliasTable(weights)
+        prob, alias = _reference_alias(weights)
+        assert table.prob.dtype == np.float64 and table.alias.dtype == np.int64
+        assert np.array_equal(table.prob, prob)
+        assert np.array_equal(table.alias, alias)
+
+
 class TestNegativeSampler:
     def test_absent_nodes_never_drawn(self, rng):
         vocab = Vocabulary(np.array([10, 0, 5, 0]))

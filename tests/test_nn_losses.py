@@ -92,3 +92,70 @@ class TestCrossEntropy:
         loss = CrossEntropyLoss()
         value = loss.forward(np.array([[1e4, 0.0]]), np.array([0]))
         assert np.isfinite(value)
+
+
+def _masked_sigmoid(x):
+    """The masked two-branch sigmoid each layer used to carry."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_SPECIALS = np.array([1e6, -1e6, np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0,
+                      5e-324, -5e-324, 1e-310, -1e-310, 745.0, -745.0,
+                      36.0, -36.0])
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestSharedSigmoid:
+    """BCE, the Sigmoid layer and link prediction all run the one
+    branch-free ``repro.nn.layers.sigmoid``; it must equal the masked
+    form bit for bit, NaN payloads and signed zeros included."""
+
+    def _inputs(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(0, 20, size=4000)
+        x[::5] = np.resize(_SPECIALS, len(x[::5]))
+        return x
+
+    def test_sigmoid_bits(self):
+        from repro.nn.layers import sigmoid
+
+        x = self._inputs()
+        assert np.array_equal(_bits(sigmoid(x)), _bits(_masked_sigmoid(x)))
+        assert np.array_equal(_bits(sigmoid(_SPECIALS)),
+                              _bits(_masked_sigmoid(_SPECIALS)))
+
+    def test_sigmoid_layer_bits(self):
+        from repro.nn import Sigmoid
+
+        x = self._inputs().reshape(40, 100)
+        assert np.array_equal(_bits(Sigmoid().forward(x)),
+                              _bits(_masked_sigmoid(x)))
+
+    def test_bce_probabilities_and_loss(self):
+        x = self._inputs()
+        finite = np.isfinite(x)
+        y = (np.arange(len(x)) % 2).astype(np.float64)
+        loss = BCEWithLogitsLoss()
+        with np.errstate(invalid="ignore"):  # inf * 0 in the loss term
+            value = loss.forward(x, y)
+        assert np.array_equal(_bits(loss.predictions()),
+                              _bits(_masked_sigmoid(x)))
+        z, t = x[finite], y[finite]
+        expected = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+        assert loss.forward(z, t) == float(expected.mean())
+        assert np.isnan(value)  # NaN logits poison the mean, as before
+
+    def test_link_prediction_uses_shared_sigmoid(self):
+        from repro.nn.layers import sigmoid
+        from repro.tasks import link_prediction
+
+        assert link_prediction.sigmoid is sigmoid
+        assert not hasattr(link_prediction, "_sigmoid")
