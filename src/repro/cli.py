@@ -417,13 +417,22 @@ def _refresh_policy(args: argparse.Namespace):
 
 def _chaos_plan(args: argparse.Namespace,
                 sharded: bool) -> tuple[int, int, float] | None:
-    """Check the sharded-tier-only knobs and parse ``--kill-replica
+    """Check the tier-specific knobs and parse ``--kill-replica
     SHARD[:REPLICA[:DELAY_S]]`` into ``(shard, replica, delay)``.
 
-    Runs before the embedding build, so a bad flag fails fast instead
-    of after minutes of walks and SGNS.
+    The micro-batching flags only shape the local tier, and the chaos
+    and rebalance flags only the sharded one; a flag the chosen tier
+    would ignore is an error.  Runs before the embedding build, so a
+    bad flag fails fast instead of after minutes of walks and SGNS.
     """
-    if not sharded:
+    if sharded:
+        for flag, dest, default in (
+                ("--max-batch-size", "max_batch_size", _MAX_BATCH_SIZE),
+                ("--max-delay-ms", "max_delay_ms", _MAX_DELAY_MS)):
+            if getattr(args, dest, default) != default:
+                raise ServingError(
+                    f"{flag} needs the local tier (--shards 1)")
+    else:
         for flag, used in (("--kill-replica", args.kill_replica is not None),
                            ("--autoscale", args.autoscale),
                            ("--rebalance-every", args.rebalance_every > 0)):
@@ -925,6 +934,11 @@ def _positive_int(text: str) -> int:
 _OFF = object()       #: the preset has no such flag
 _REQUIRED = object()  #: the preset requires the flag (no default)
 
+#: Micro-batching defaults of the local tier; the sharded tier rejects
+#: any other value (see :func:`_chaos_plan`).
+_MAX_BATCH_SIZE = 64
+_MAX_DELAY_MS = 2.0
+
 _EMBED = "embedding hyperparameters"
 _INGEST = "ingest: WAL, queue, refresh"
 _LOAD = "serving and load"
@@ -1009,9 +1023,9 @@ _SIM_OPTIONS = (
          type=float),
     _opt(_LOAD, "--k", (10, 10, 10), "recommendations per top-k request",
          type=int),
-    _opt(_LOAD, "--max-batch-size", (64, 64, _OFF),
+    _opt(_LOAD, "--max-batch-size", (_MAX_BATCH_SIZE,) * 2 + (_OFF,),
          "micro-batch size cap (1 = single-request baseline)", type=int),
-    _opt(_LOAD, "--max-delay-ms", (2.0, 2.0, _OFF),
+    _opt(_LOAD, "--max-delay-ms", (_MAX_DELAY_MS,) * 2 + (_OFF,),
          "micro-batch max wait in milliseconds", type=float),
     _opt(_LOAD, "--cache-size", (4096, 4096, _OFF),
          "top-k LRU cache entries (0 disables)", type=int),

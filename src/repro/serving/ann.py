@@ -267,6 +267,7 @@ class IvfIndexManager:
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._index: IvfIndex | None = None
+        self._failed = -1  # newest snapshot version whose build raised
         self._pending: EmbeddingSnapshot | None = None
         self._thread: threading.Thread | None = None
         self._closed = False
@@ -301,8 +302,11 @@ class IvfIndexManager:
             rec = get_recorder()
             try:
                 index = IvfIndex.build(snapshot, self.config, self.metric)
-            except Exception:  # pragma: no cover - defensive: keep serving
+            except Exception:  # keep serving the previous index
                 rec.counter("serving.ann.build_errors")
+                with self._lock:
+                    self._failed = max(self._failed, snapshot.version)
+                    self._cv.notify_all()
                 continue
             with self._lock:
                 # Monotone install: a slow build can never roll back a
@@ -335,13 +339,14 @@ class IvfIndexManager:
     def wait_ready(self, version: int | None = None,
                    timeout: float | None = None) -> bool:
         """Block until an index for ``version`` (default: the store's
-        current version) or newer is installed; False on timeout."""
+        current version) or newer is installed; False on timeout, and
+        at once when the build for ``version`` or a newer one raised."""
         if version is None:
             version = self.store.version
         deadline = (time.monotonic() + timeout) if timeout is not None else None
         with self._cv:
             while self._index is None or self._index.version < version:
-                if self._closed:
+                if self._closed or self._failed >= version:
                     return False
                 remaining = None
                 if deadline is not None:

@@ -28,39 +28,35 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.observability import get_recorder
-from repro.serving.ann import INDEX_CHOICES, IvfConfig, IvfIndexManager
+from repro.serving.ann import IvfConfig, IvfIndexManager
 from repro.serving.batching import BatchFuture, BatchScheduler
-from repro.serving.index import METRIC_CHOICES, RecommendationIndex, TopK
+from repro.serving.index import (
+    EngineConfig,
+    RecommendationIndex,
+    TopK,
+    link_scores,
+)
 from repro.serving.store import EmbeddingStore
 
 
 @dataclass(frozen=True)
-class ServingConfig:
+class ServingConfig(EngineConfig):
     """Knobs of the serving frontend.
 
-    ``max_batch_size`` / ``max_delay`` bound each micro-batch (see
-    :class:`BatchScheduler`); ``default_k``, ``cache_size``,
-    ``block_size`` and ``metric`` configure the recommendation index.
+    The query engine's settings (``default_k``, ``metric``,
+    ``block_size``, ``cache_size``, ``index``, ``ann``) come from
+    :class:`~repro.serving.index.EngineConfig`.  ``max_batch_size`` /
+    ``max_delay`` bound each micro-batch (see :class:`BatchScheduler`);
     ``max_batch_size=1`` degenerates to the single-request path (every
     request is its own batch), which is the baseline the serving bench
-    measures against.  ``index="ivf"`` routes top-k through the
-    approximate IVF index (built per published snapshot; ``ann`` holds
-    its :class:`~repro.serving.ann.IvfConfig`, defaulted when omitted);
-    ``index="exact"`` keeps the brute-force oracle as the default while
-    still honoring per-query ``mode="ivf"`` overrides when ``ann`` is
-    configured.
+    measures against.
     """
 
     max_batch_size: int = 64
     max_delay: float = 0.002
-    default_k: int = 10
-    cache_size: int = 4096
-    block_size: int = 8192
-    metric: str = "dot"
-    index: str = "exact"
-    ann: IvfConfig | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.max_batch_size < 1:
             raise ServingError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
@@ -68,18 +64,6 @@ class ServingConfig:
         if self.max_delay < 0:
             raise ServingError(
                 f"max_delay must be >= 0, got {self.max_delay}"
-            )
-        if self.default_k < 1:
-            raise ServingError(f"default_k must be >= 1, got {self.default_k}")
-        if self.metric not in METRIC_CHOICES:
-            raise ServingError(
-                f"unknown metric {self.metric!r}; options: "
-                f"{list(METRIC_CHOICES)}"
-            )
-        if self.index not in INDEX_CHOICES:
-            raise ServingError(
-                f"unknown index {self.index!r}; options: "
-                f"{list(INDEX_CHOICES)}"
             )
 
 
@@ -174,11 +158,8 @@ class ServingFrontend:
             raise ServingError(
                 f"link-score request out of range [0, {snapshot.num_nodes})"
             )
-        return np.einsum(
-            "bd,bd->b",
-            snapshot.matrix[pairs[:, 0]],
-            snapshot.matrix[pairs[:, 1]],
-        )
+        return link_scores(snapshot.matrix[pairs[:, 0]],
+                           snapshot.matrix[pairs[:, 1]])
 
     # ------------------------------------------------------------------
     # Top-k recommendation

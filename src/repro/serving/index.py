@@ -19,6 +19,10 @@ Two execution modes share the scoring/selection code:
   (cold store, build in flight, store below ``min_index_nodes``) or the
   probed candidates cannot cover ``min(k, n - 1)`` results.
 
+Both serving tiers run this one engine: a local row (the in-process
+frontend) and a query vector shipped to a shard worker (:meth:`query`)
+go through one single-query search, LRU and set of counters.
+
 Cache entries are valid for exactly one
 :class:`~repro.serving.store.EmbeddingSnapshot` *version* and one mode:
 the first query after a publish observes the version bump and drops the
@@ -37,17 +41,19 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ServingError
 from repro.observability import get_recorder
-from repro.serving.ann import INDEX_CHOICES
+from repro.serving.ann import (
+    INDEX_CHOICES,
+    IvfConfig,
+    IvfIndex,
+    IvfIndexManager,
+)
 from repro.serving.store import EmbeddingSnapshot, EmbeddingStore
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.ann import IvfIndexManager
 
 METRIC_CHOICES = ("dot", "cosine")
 
@@ -61,6 +67,60 @@ TopKRequest = "tuple[int, int] | tuple[int, int, str | None]"
 _TINY = np.finfo(np.float64).tiny
 
 
+@dataclass(frozen=True, kw_only=True)
+class EngineConfig:
+    """The query engine's settings, shared by both serving tiers.
+
+    ``default_k`` is the top-k size when a request names none;
+    ``metric``, ``block_size`` and ``cache_size`` (0 disables the LRU)
+    configure the :class:`RecommendationIndex`.  ``index="ivf"`` routes
+    top-k through the approximate IVF index (``ann`` holds its
+    :class:`~repro.serving.ann.IvfConfig`, defaulted when omitted);
+    ``index="exact"`` keeps the brute-force oracle as the default while
+    still honoring per-query ``mode="ivf"`` overrides when ``ann`` is
+    configured.
+    """
+
+    default_k: int = 10
+    metric: str = "dot"
+    block_size: int = 8192
+    cache_size: int = 4096
+    index: str = "exact"
+    ann: IvfConfig | None = None
+
+    def __post_init__(self) -> None:
+        if self.default_k < 1:
+            raise ServingError(f"default_k must be >= 1, got {self.default_k}")
+        check_engine_settings(metric=self.metric, block_size=self.block_size,
+                              cache_size=self.cache_size, index=self.index)
+
+
+def check_engine_settings(*, metric: str, block_size: int, cache_size: int,
+                          index: str) -> None:
+    """The one validation of the settings :class:`RecommendationIndex`
+    takes, run by its constructor and by every :class:`EngineConfig`."""
+    if metric not in METRIC_CHOICES:
+        raise ServingError(
+            f"unknown metric {metric!r}; options: {list(METRIC_CHOICES)}"
+        )
+    if block_size < 1:
+        raise ServingError(f"block_size must be >= 1, got {block_size}")
+    if cache_size < 0:
+        raise ServingError(f"cache_size must be >= 0, got {cache_size}")
+    if index not in INDEX_CHOICES:
+        raise ServingError(
+            f"unknown index mode {index!r}; options: {list(INDEX_CHOICES)}"
+        )
+
+
+def link_scores(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Scores of the candidate edges ``(src[i], dst[i])``: the §IV-B
+    embedding inner product.  Both tiers score through this one einsum,
+    so a sharded score (one row shipped) is bit-identical to a local
+    one."""
+    return np.einsum("bd,bd->b", src, dst)
+
+
 class RecommendationIndex:
     """Cached blocked top-k over the currently served embeddings."""
 
@@ -70,24 +130,13 @@ class RecommendationIndex:
         cache_size: int = 4096,
         block_size: int = 8192,
         metric: str = "dot",
-        ann: "IvfIndexManager | None" = None,
+        ann: IvfIndexManager | None = None,
         default_mode: str | None = None,
     ) -> None:
-        if cache_size < 0:
-            raise ServingError(f"cache_size must be >= 0, got {cache_size}")
-        if block_size < 1:
-            raise ServingError(f"block_size must be >= 1, got {block_size}")
-        if metric not in METRIC_CHOICES:
-            raise ServingError(
-                f"unknown metric {metric!r}; options: {list(METRIC_CHOICES)}"
-            )
         if default_mode is None:
             default_mode = "ivf" if ann is not None else "exact"
-        if default_mode not in INDEX_CHOICES:
-            raise ServingError(
-                f"unknown index mode {default_mode!r}; options: "
-                f"{list(INDEX_CHOICES)}"
-            )
+        check_engine_settings(metric=metric, block_size=block_size,
+                              cache_size=cache_size, index=default_mode)
         if default_mode == "ivf" and ann is None:
             raise ServingError("default_mode='ivf' requires an ann manager")
         self.store = store
@@ -205,12 +254,8 @@ class RecommendationIndex:
         """
         snapshot = self.store.snapshot()
         rec = get_recorder()
-        ann_index = None
-        if self.ann is not None:
-            ann_index = self.ann.index_for(snapshot)
         results: dict[int, TopK] = {}
         exact_misses: dict[int, list[int]] = {}
-        ivf_misses: list[tuple[int, int, int]] = []  # (i, node, k)
         for i, request in enumerate(requests):
             node, k = int(request[0]), int(request[1])
             mode = self._resolve_mode(
@@ -221,24 +266,12 @@ class RecommendationIndex:
             if hit is not None:
                 results[i] = hit
                 continue
-            if mode == "ivf":
-                if ann_index is None:
-                    # Cold store, build in flight, or store too small.
-                    rec.counter("serving.ann.fallbacks")
-                    rec.counter("serving.ann.fallbacks.no_index")
-                    mode = "exact"
-                else:
-                    ivf_misses.append((i, node, k))
-                    continue
-            exact_misses.setdefault(k, []).append(i)
-
-        for i, node, k in ivf_misses:
-            result = self._compute_ivf(snapshot, ann_index, node, k)
-            if result is None:  # not enough candidates: exact fallback
-                exact_misses.setdefault(k, []).append(i)
+            ann_index = self._ivf_index(snapshot, mode)
+            if ann_index is not None:
+                results[i] = self._search(snapshot, ann_index, k, node,
+                                          None, node)
                 continue
-            results[i] = result
-            self._fill(snapshot, node, k, "ivf", result)
+            exact_misses.setdefault(k, []).append(i)
 
         for k, indices in exact_misses.items():
             nodes = []
@@ -247,56 +280,41 @@ class RecommendationIndex:
                 if node not in nodes:
                     nodes.append(node)
             rec.counter("serving.index.cache_misses", len(nodes))
+            rows = np.asarray(nodes, dtype=np.int64)
             ids, scores = self._compute_many(
-                snapshot, np.asarray(nodes, dtype=np.int64), k
+                snapshot, k, snapshot.matrix[rows], snapshot.norms[rows],
+                rows,
             )
             computed: dict[int, TopK] = {}
             for column, node in enumerate(nodes):
-                result = (ids[:, column].copy(), scores[:, column].copy())
-                result[0].setflags(write=False)
-                result[1].setflags(write=False)
+                result = _frozen(ids[:, column], scores[:, column])
                 computed[node] = result
                 self._fill(snapshot, node, k, "exact", result)
             for i in indices:
                 results[i] = computed[int(requests[i][0])]
         return [results[i] for i in range(len(requests))]
 
-    def top_k_vector(self, vector: np.ndarray, k: int,
-                     exclude_row: int = -1,
-                     row_ids: np.ndarray | None = None) -> TopK:
-        """Top-``k`` rows for a raw query vector, best first.
+    def query(self, snapshot: EmbeddingSnapshot, k: int, vector: np.ndarray,
+              key: int, row: int = -1) -> TopK:
+        """Top-``k`` rows of ``snapshot`` for a shipped query vector.
 
-        The sharded serving tier's scatter path: every shard scores the
-        *shipped* query vector against its local rows, so the query
-        node's own row only exists (and is excluded, via
-        ``exclude_row``) on the owning shard.  ``row_ids`` restricts
-        scoring to a sorted candidate subset (the per-shard IVF path).
-        Results are not cached here — the shard worker keys its own LRU
-        by the global query node id, which this index never sees.
+        The sharded scatter path: ``vector`` is the query node's row,
+        fetched from the shard that owns it, and ``row`` its local row
+        here (excluded from the result), or -1 when another shard owns
+        it.  The result is cached under ``key`` (the global query node
+        id), so look it up with :meth:`cached` first.  The default mode,
+        the IVF fallback rule, the counters and recall sampling are
+        those of :meth:`top_k_batch`.
         """
-        snapshot = self.store.snapshot()
-        vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if vector.shape[0] != snapshot.dim:
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.shape != (snapshot.dim,) or k < 1:
             raise ServingError(
-                f"query vector has dim {vector.shape[0]}, "
-                f"snapshot has dim {snapshot.dim}"
+                f"bad query: vector shape {vector.shape} for dim "
+                f"{snapshot.dim}, k={k}"
             )
-        if k < 1:
-            raise ServingError(f"k must be >= 1, got {k}")
-        if exclude_row >= snapshot.num_nodes:
-            raise ServingError(
-                f"exclude_row {exclude_row} out of range "
-                f"[0, {snapshot.num_nodes})"
-            )
-        ids, scores = self._compute_many(
-            snapshot, None, k, row_ids=row_ids,
-            queries=vector[None, :],
-            exclude=np.asarray([exclude_row], dtype=np.int64),
-        )
-        result = (ids[:, 0].copy(), scores[:, 0].copy())
-        result[0].setflags(write=False)
-        result[1].setflags(write=False)
-        return result
+        return self._search(snapshot,
+                            self._ivf_index(snapshot, self.default_mode),
+                            k, row, vector, key)
 
     def _validate(self, snapshot: EmbeddingSnapshot, node: int,
                   k: int) -> None:
@@ -308,43 +326,79 @@ class RecommendationIndex:
             raise ServingError(f"k must be >= 1, got {k}")
 
     # ------------------------------------------------------------------
-    # ANN path
+    # The single-query path (ANN with exact fallback)
     # ------------------------------------------------------------------
-    def _compute_ivf(self, snapshot: EmbeddingSnapshot, ann_index,
-                     node: int, k: int) -> TopK | None:
-        """One ANN query: probe cells, score candidates exactly.
+    def _ivf_index(self, snapshot: EmbeddingSnapshot,
+                   mode: str) -> IvfIndex | None:
+        """The IVF index serving ``mode`` on ``snapshot``, or None (exact).
 
-        Returns None when the probed candidates cannot fill
-        ``min(k, n - 1)`` results (empty probe cells, ``k`` exhausting
-        the indexed rows) — the caller then takes the exact path, so an
-        ANN answer always has the same shape as the exact one.
+        An ``"ivf"`` query finding no index for its pinned version
+        (cold store, build in flight, store below ``min_index_nodes``)
+        books a ``no_index`` fallback.
+        """
+        if mode != "ivf":
+            return None
+        index = self.ann.index_for(snapshot)
+        if index is None:
+            rec = get_recorder()
+            rec.counter("serving.ann.fallbacks")
+            rec.counter("serving.ann.fallbacks.no_index")
+        return index
+
+    def _search(self, snapshot: EmbeddingSnapshot,
+                ann_index: IvfIndex | None, k: int, row: int,
+                vector: np.ndarray | None, key: int) -> TopK:
+        """Score one query: probed IVF candidates, else the full scan.
+
+        The query is the local row ``row`` (``vector`` None) or the
+        shipped ``vector``; the result is cached under ``key``.  The
+        probed candidates must fill ``k_eff`` results, where the query's
+        own row uses up a candidate only when it is local (``row >=
+        0``); otherwise the query falls back to the exact scan, so an
+        ANN answer always has the shape of the exact one.
         """
         rec = get_recorder()
-        candidates, probed = ann_index.candidate_rows(node)
-        k_eff = min(k, snapshot.num_nodes - 1)
-        available = len(candidates)
-        if available and np.searchsorted(candidates, node) < available \
-                and candidates[np.searchsorted(candidates, node)] == node:
-            available -= 1  # self-exclusion consumes one candidate
-        if available < k_eff:
-            rec.counter("serving.ann.fallbacks")
-            rec.counter("serving.ann.fallbacks.insufficient_candidates")
-            return None
-        rec.counter("serving.ann.queries")
-        rec.counter("serving.ann.cells_probed", probed)
-        rec.counter("serving.ann.candidates_scored", len(candidates))
-        ids, scores = self._compute_many(
-            snapshot, np.asarray([node], dtype=np.int64), k,
-            row_ids=candidates,
-        )
-        result = (ids[:, 0].copy(), scores[:, 0].copy())
-        result[0].setflags(write=False)
-        result[1].setflags(write=False)
-        self._maybe_sample_recall(snapshot, node, k, result)
+        rec.counter("serving.index.cache_misses")
+        exclude = np.asarray([row], dtype=np.int64)
+        if vector is None:
+            queries = snapshot.matrix[exclude]
+            norms = snapshot.norms[exclude]
+        else:
+            queries = vector[None, :]
+            # Same per-row reduction as the snapshot's own norms, so a
+            # shipped copy of a row scores bit-identically to the row.
+            norms = np.linalg.norm(queries, axis=1)
+        candidates = None
+        if ann_index is not None:
+            if vector is None:
+                candidates, probed = ann_index.candidate_rows(row)
+            else:
+                candidates, probed = ann_index.candidate_rows_for(vector)
+            n = snapshot.num_nodes
+            k_eff = min(k, n - 1 if row >= 0 else n)
+            pos = int(np.searchsorted(candidates, row))
+            local = pos < len(candidates) and int(candidates[pos]) == row
+            if len(candidates) - local < k_eff:
+                rec.counter("serving.ann.fallbacks")
+                rec.counter("serving.ann.fallbacks.insufficient_candidates")
+                candidates = None
+            else:
+                rec.counter("serving.ann.queries")
+                rec.counter("serving.ann.cells_probed", probed)
+                rec.counter("serving.ann.candidates_scored", len(candidates))
+        ids, scores = self._compute_many(snapshot, k, queries, norms,
+                                         exclude, row_ids=candidates)
+        result = _frozen(ids[:, 0], scores[:, 0])
+        if candidates is not None:
+            self._maybe_sample_recall(snapshot, k, queries, norms, exclude,
+                                      result)
+        self._fill(snapshot, key, k, "exact" if candidates is None else "ivf",
+                   result)
         return result
 
-    def _maybe_sample_recall(self, snapshot: EmbeddingSnapshot, node: int,
-                             k: int, result: TopK) -> None:
+    def _maybe_sample_recall(self, snapshot: EmbeddingSnapshot, k: int,
+                             queries: np.ndarray, norms: np.ndarray,
+                             exclude: np.ndarray, result: TopK) -> None:
         """Shadow-check every N-th ANN answer against the oracle."""
         every = self.ann.config.recall_sample_every if self.ann else 0
         if every <= 0:
@@ -354,9 +408,8 @@ class RecommendationIndex:
             due = self._ann_query_count % every == 0
         if not due:
             return
-        exact_ids, _ = self._compute_many(
-            snapshot, np.asarray([node], dtype=np.int64), k
-        )
+        exact_ids, _ = self._compute_many(snapshot, k, queries, norms,
+                                          exclude)
         k_eff = len(exact_ids)
         recall = 1.0
         if k_eff:
@@ -394,17 +447,20 @@ class RecommendationIndex:
         offsets = np.nonzero(selected.T)[1]
         return offsets.reshape(columns, take).T
 
-    def _compute_many(self, snapshot: EmbeddingSnapshot,
-                      nodes: np.ndarray | None, k: int,
+    def _compute_many(self, snapshot: EmbeddingSnapshot, k: int,
+                      query_rows: np.ndarray, query_norms: np.ndarray,
+                      exclude: np.ndarray,
                       row_ids: np.ndarray | None = None,
-                      queries: np.ndarray | None = None,
-                      exclude: np.ndarray | None = None,
                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Blocked top-k for ``m`` distinct query nodes at once.
+        """Blocked top-k for ``m`` distinct queries at once.
 
-        Returns ``(ids, scores)`` of shape ``(k_eff, m)`` with each
-        column sorted best-first (ties broken by lower id).  Peak
-        memory is O(block_size * m) however large the matrix is.
+        ``query_rows`` (shape ``(m, d)``) are the query vectors — local
+        rows, or a shipped vector on the sharded scatter path — and
+        ``query_norms`` their norms.  ``exclude`` carries one row id per
+        query to mask (its own row; -1 = not local).  Returns ``(ids,
+        scores)`` of shape ``(k_eff, m)`` with each column sorted
+        best-first (ties broken by lower id).  Peak memory is
+        O(block_size * m) however large the matrix is.
 
         ``row_ids`` (sorted ascending) restricts scoring to a candidate
         subset — the ANN path.  A block of consecutive ids is detected
@@ -412,28 +468,10 @@ class RecommendationIndex:
         whole id range (``nprobe = nlist``) run the *identical*
         block/GEMM/selection sequence as the full scan and return
         bit-identical results.
-
-        ``queries`` (shape ``(m, d)``) scores raw vectors instead of
-        ``matrix[nodes]`` — the sharded scatter path, where the query
-        row usually lives on another shard.  ``exclude`` then carries
-        one row id per query to mask (-1 = none); with ``nodes`` the
-        exclusion is the query node itself, exactly as before.
         """
         rec = get_recorder()
         matrix = snapshot.matrix
         n = snapshot.num_nodes
-        if queries is None:
-            assert nodes is not None
-            exclude = nodes
-            query_rows = matrix[nodes]
-            query_norms = snapshot.norms[nodes]
-        else:
-            query_rows = np.ascontiguousarray(queries, dtype=np.float64)
-            if exclude is None:
-                exclude = np.full(len(query_rows), -1, dtype=np.int64)
-            # Same per-row reduction as the snapshot's own norms, so a
-            # shipped copy of a row scores bit-identically to the row.
-            query_norms = np.linalg.norm(query_rows, axis=1)
         m = len(query_rows)
         # Self-exclusion consumes one candidate; a query with no local
         # exclusion row (remote shard) can use all n.
@@ -515,3 +553,11 @@ class RecommendationIndex:
             out_ids[:, column] = pool_ids[order, column]
             out_scores[:, column] = pool_scores[order, column]
         return out_ids, out_scores
+
+
+def _frozen(ids: np.ndarray, scores: np.ndarray) -> TopK:
+    """A read-only copy of one result column (safe to cache and share)."""
+    result = (ids.copy(), scores.copy())
+    result[0].setflags(write=False)
+    result[1].setflags(write=False)
+    return result

@@ -12,11 +12,12 @@ across CPU/GPU stages, here spread across shard workers.  Five pieces:
   re-balanced automatically when the node count grows between
   publishes).
 - :class:`EmbeddingShard` workers — ``replication_factor`` processes
-  per shard, each owning a shard-local
-  :class:`~repro.serving.store.EmbeddingStore` +
-  :class:`~repro.serving.index.RecommendationIndex` (exact, or a
-  per-shard :class:`~repro.serving.ann.IvfIndex`) plus an LRU of
-  answered sub-queries.  Slices arrive through
+  per shard.  Each publishes every installed slice once into one
+  worker-local :class:`~repro.serving.store.EmbeddingStore` and serves
+  it through the in-process frontend's engine,
+  :class:`~repro.serving.index.RecommendationIndex` (with an
+  :class:`~repro.serving.ann.IvfIndexManager` for ``index="ivf"``),
+  keeping only a router-version → snapshot map.  Slices arrive through
   :class:`~repro.parallel.shared_array.SharedArray` blocks, not the
   command pipe; sibling replicas attach the same block.
 - :class:`ShardedFrontend` — the router.  ``top_k`` is a
@@ -45,10 +46,10 @@ across CPU/GPU stages, here spread across shard workers.  Five pieces:
   A query routes entirely against one table snapshot, so a gather can
   never combine old-plan and new-plan slices.
 
-Worker-internal recorder metrics (per-shard index counters, GEMM rows,
-ANN counters) are aggregated back to the router by
-:meth:`ShardedFrontend.worker_metrics` via a ``metrics`` op and land in
-the ambient recorder under ``serving.shard.workers.<name>``.
+Worker-internal recorder metrics (the engine's ``serving.index.*`` and
+``serving.ann.*`` counters, slice publishes) are aggregated back to the
+router by :meth:`ShardedFrontend.worker_metrics` via a ``metrics`` op
+and land in the ambient recorder under ``serving.shard.workers.<name>``.
 
 Known trade-off: each worker handles its command pipe serially, so a
 publish (slice install + optional IVF build) briefly queues behind /
@@ -76,9 +77,14 @@ from repro.errors import ServingError
 from repro.observability import Recorder, get_recorder, use_recorder
 from repro.parallel.shared_array import SharedArray, SharedArraySpec
 from repro.parallel.supervisor import _mp_context
-from repro.serving.ann import INDEX_CHOICES, IvfConfig, IvfIndex
-from repro.serving.index import METRIC_CHOICES, RecommendationIndex, TopK
-from repro.serving.store import EmbeddingStore
+from repro.serving.ann import IvfConfig, IvfIndexManager
+from repro.serving.index import (
+    EngineConfig,
+    RecommendationIndex,
+    TopK,
+    link_scores,
+)
+from repro.serving.store import EmbeddingSnapshot, EmbeddingStore
 
 PLAN_CHOICES = ("hash", "range")
 
@@ -173,162 +179,125 @@ class ShardPlan:
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class _WorkerConfig:
-    """Picklable per-worker knobs (derived from ShardedServingConfig)."""
-
-    metric: str
-    block_size: int
-    cache_size: int
-    index: str
-    ann: IvfConfig | None
-    keep_versions: int
-
-
-class _ShardVersion:
-    """One installed slice version inside a worker."""
-
-    __slots__ = ("store", "index", "ivf", "ids", "num_nodes", "lru")
-
-    def __init__(self, store: EmbeddingStore | None,
-                 index: RecommendationIndex | None, ivf: IvfIndex | None,
-                 ids: np.ndarray, num_nodes: int) -> None:
-        self.store = store
-        self.index = index
-        self.ivf = ivf
-        self.ids = ids
-        self.num_nodes = num_nodes
-        self.lru: OrderedDict[tuple[int, int], TopK] = OrderedDict()
-
-
-def _local_row(sv: _ShardVersion, node: int) -> int:
-    """Local row of global ``node`` in this shard's slice, or -1."""
-    pos = int(np.searchsorted(sv.ids, node))
-    if pos < len(sv.ids) and int(sv.ids[pos]) == node:
+def _local_row(ids: np.ndarray, node: int) -> int:
+    """Local row of global ``node`` in a slice owning ``ids``, or -1."""
+    pos = int(np.searchsorted(ids, node))
+    if pos < len(ids) and int(ids[pos]) == node:
         return pos
     return -1
 
 
 class _WorkerState:
-    """Everything a shard worker holds between commands."""
+    """Everything a shard worker holds between commands.
+
+    ``versions`` maps each retained router version to its snapshot in
+    the worker's one store (None when the shard owns no rows) and the
+    slice's global ids, ascending — so a query routed just before a
+    publish still answers from the slice it was routed under.
+    """
 
     def __init__(self, shard_id: int, plan: ShardPlan,
-                 cfg: _WorkerConfig) -> None:
+                 config: ShardedServingConfig) -> None:
         self.shard_id = shard_id
         self.plan = plan
-        self.cfg = cfg
-        self.versions: OrderedDict[int, _ShardVersion] = OrderedDict()
+        self.config = config
+        self.store = EmbeddingStore()
+        ann = None
+        if config.index == "ivf":
+            ann = IvfIndexManager(self.store, config=config.ann or IvfConfig(),
+                                  metric=config.metric)
+        self.index = RecommendationIndex(
+            self.store, cache_size=config.cache_size,
+            block_size=config.block_size, metric=config.metric, ann=ann,
+            default_mode=config.index)
+        self.versions: OrderedDict[
+            int, tuple[EmbeddingSnapshot | None, np.ndarray]] = OrderedDict()
 
     # -- commands ------------------------------------------------------
-    def _resolve(self, version: int) -> _ShardVersion:
-        sv = self.versions.get(version)
-        if sv is None:
+    def _resolve(self, version: int
+                 ) -> tuple[EmbeddingSnapshot | None, np.ndarray]:
+        installed = self.versions.get(version)
+        if installed is None:
             raise _StaleVersionError(
                 f"shard {self.shard_id} no longer holds version {version}"
             )
-        return sv
+        return installed
+
+    def _owned_row(self, version: int, node: int
+                   ) -> tuple[EmbeddingSnapshot, int]:
+        snapshot, ids = self._resolve(version)
+        row = -1 if snapshot is None else _local_row(ids, node)
+        if row < 0:
+            raise ServingError(
+                f"node {node} is not owned by shard {self.shard_id}"
+            )
+        return snapshot, row
 
     def install(self, version: int, generation: int, num_nodes: int,
                 spec: SharedArraySpec | None) -> bool:
+        """Publish this shard's slice of ``version``; ack once servable.
+
+        With ``index="ivf"`` the ack waits for the IVF build of the
+        slice (unless it is below ``min_index_nodes``), so the router
+        never flips to a version a worker would serve exact.  A build
+        that raises or outlasts ``request_timeout`` fails the install;
+        the retained versions keep serving.
+        """
         ids = self.plan.owned_ids(self.shard_id, num_nodes)
-        if spec is None or len(ids) == 0:
-            sv = _ShardVersion(None, None, None, ids, num_nodes)
-        else:
+        snapshot = None
+        if spec is not None and len(ids) > 0:
             shared = SharedArray.attach(spec)
             try:
-                local = np.array(shared.array, dtype=np.float64, copy=True)
+                if shared.array.shape[0] != len(ids):
+                    raise ServingError(
+                        f"shard {self.shard_id} slice has "
+                        f"{shared.array.shape[0]} rows, plan owns {len(ids)}"
+                    )
+                snapshot = self.store.publish(shared.array, generation)
             finally:
                 shared.close()
-            if local.shape[0] != len(ids):
+            ann = self.index.ann
+            if (ann is not None
+                    and len(ids) >= ann.config.min_index_nodes
+                    and not ann.wait_ready(snapshot.version,
+                                           self.config.request_timeout)):
                 raise ServingError(
-                    f"shard {self.shard_id} slice has {local.shape[0]} "
-                    f"rows, plan owns {len(ids)}"
+                    f"shard {self.shard_id} IVF build for version "
+                    f"{version} did not finish"
                 )
-            store = EmbeddingStore()
-            snapshot = store.publish(local, generation)
-            index = RecommendationIndex(
-                store, cache_size=0, block_size=self.cfg.block_size,
-                metric=self.cfg.metric,
-            )
-            ivf = None
-            if self.cfg.index == "ivf":
-                ann = self.cfg.ann or IvfConfig()
-                if len(ids) >= ann.min_index_nodes:
-                    ivf = IvfIndex.build(snapshot, ann, self.cfg.metric)
-            sv = _ShardVersion(store, index, ivf, ids, num_nodes)
-        self.versions[version] = sv
-        while len(self.versions) > max(1, self.cfg.keep_versions):
+        self.versions[version] = (snapshot, ids)
+        while len(self.versions) > max(1, self.config.keep_versions):
             self.versions.popitem(last=False)
         return True
 
     def topk(self, version: int, node: int, k: int, vec: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, bool]:
-        sv = self._resolve(version)
-        if sv.store is None:  # empty shard: nothing to contribute
+        snapshot, ids = self._resolve(version)
+        if snapshot is None:  # empty shard: nothing to contribute
             return (np.empty(0, dtype=np.int64),
                     np.empty(0, dtype=np.float64), False)
-        key = (int(node), int(k))
-        hit = sv.lru.get(key)
-        if hit is not None:
-            sv.lru.move_to_end(key)
-            return hit[0], hit[1], True
-        exclude_row = _local_row(sv, node)
-        row_ids = None
-        if sv.ivf is not None:
-            candidates, _probed = sv.ivf.candidate_rows_for(vec)
-            available = len(candidates)
-            if exclude_row >= 0:
-                pos = int(np.searchsorted(candidates, exclude_row))
-                if pos < available and int(candidates[pos]) == exclude_row:
-                    available -= 1
-            local_n = len(sv.ids)
-            k_eff = min(k, local_n - 1 if exclude_row >= 0 else local_n)
-            if available >= k_eff:
-                row_ids = candidates
-        local_ids, scores = sv.index.top_k_vector(
-            vec, k, exclude_row=exclude_row, row_ids=row_ids,
-        )
-        gids = sv.ids[local_ids]
-        gids.setflags(write=False)
-        if self.cfg.cache_size > 0:
-            sv.lru[key] = (gids, scores)
-            while len(sv.lru) > self.cfg.cache_size:
-                sv.lru.popitem(last=False)
-        return gids, scores, False
+        result = self.index.cached(node, k, snapshot)
+        hit = result is not None
+        if not hit:
+            result = self.index.query(snapshot, k, vec, key=node,
+                                      row=_local_row(ids, node))
+        return ids[result[0]], result[1], hit
 
     def vector(self, version: int, node: int) -> np.ndarray:
-        sv = self._resolve(version)
-        row = -1 if sv.store is None else _local_row(sv, node)
-        if row < 0:
-            raise ServingError(
-                f"node {node} is not owned by shard {self.shard_id}"
-            )
-        return np.array(sv.store.snapshot().matrix[row], copy=True)
+        snapshot, row = self._owned_row(version, node)
+        return np.array(snapshot.matrix[row], copy=True)
 
     def score(self, version: int, src: int, dst: int | None,
               dst_vec: np.ndarray | None) -> float:
-        sv = self._resolve(version)
-        row = -1 if sv.store is None else _local_row(sv, src)
-        if row < 0:
-            raise ServingError(
-                f"node {src} is not owned by shard {self.shard_id}"
-            )
-        matrix = sv.store.snapshot().matrix
+        snapshot, row = self._owned_row(version, src)
         if dst_vec is None:
-            peer_row = _local_row(sv, int(dst))
-            if peer_row < 0:
-                raise ServingError(
-                    f"node {dst} is not owned by shard {self.shard_id}"
-                )
-            dst_vec = matrix[peer_row]
-        # Same einsum as ServingFrontend._process_scores, so a sharded
-        # link score is bit-identical to the single-process one.
-        return float(np.einsum("bd,bd->b", matrix[row][None, :],
-                               np.asarray(dst_vec)[None, :])[0])
+            dst_vec = snapshot.matrix[self._owned_row(version, int(dst))[1]]
+        return float(link_scores(snapshot.matrix[row][None, :],
+                                 np.asarray(dst_vec)[None, :])[0])
 
 
 def _shard_worker_main(conn, shard_id: int, plan: ShardPlan,
-                       cfg: _WorkerConfig, fault_plan=None,
+                       config: ShardedServingConfig, fault_plan=None,
                        attempt: int = 0) -> None:
     """Worker entry point: serve commands until ``stop`` or EOF.
 
@@ -351,7 +320,7 @@ def _shard_worker_main(conn, shard_id: int, plan: ShardPlan,
         fault_plan.fire("controlplane.respawn", shard=shard_id,
                         attempt=attempt)
     recorder = Recorder()
-    state = _WorkerState(shard_id, plan, cfg)
+    state = _WorkerState(shard_id, plan, config)
     handlers = {
         "install": state.install,
         "topk": state.topk,
@@ -562,32 +531,31 @@ class EmbeddingShard:
 # Router
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class ShardedServingConfig:
+class ShardedServingConfig(EngineConfig):
     """Knobs of the sharded tier (router + every worker).
 
-    ``index``/``ann`` select each shard's local index exactly like
-    :class:`~repro.serving.frontend.ServingConfig` does for the
-    single-process frontend (per-shard IVF indexes are built at install
-    time against the shard's slice).  ``replication_factor`` spawns
-    that many workers per shard slice: reads fan out to one replica per
-    shard (round-robin) and fail over to a live sibling when the chosen
-    replica is dead — with R >= 2, killing one replica of every shard
-    costs zero degraded queries.  ``keep_versions`` is how many
-    installed versions each worker retains — 2 lets queries routed just
-    before a publish finish against the version they were routed under.
-    ``vector_cache_size`` bounds the router's per-version query-vector
-    LRU; ``cache_size`` bounds each worker's answered-sub-query LRU.
-    ``stop_timeout`` bounds each worker's graceful-stop wait before
-    escalation (close/rebalance stop workers concurrently, so a hung
-    worker costs one timeout, not one per worker).
+    The engine settings (:class:`~repro.serving.index.EngineConfig`:
+    ``default_k``, ``metric``, ``block_size``, ``cache_size``,
+    ``index``, ``ann``) configure each worker's
+    :class:`~repro.serving.index.RecommendationIndex` exactly as
+    :class:`~repro.serving.frontend.ServingConfig` configures the
+    in-process one; with ``index="ivf"`` a per-shard IVF index is built
+    over each installed slice.  ``ann`` needs ``index="ivf"`` here: the
+    router's ``top_k`` takes no per-query mode.  ``replication_factor`` spawns that many workers per shard
+    slice: reads fan out to one replica per shard (round-robin) and
+    fail over to a live sibling when the chosen replica is dead — with
+    R >= 2, killing one replica of every shard costs zero degraded
+    queries.  ``keep_versions`` is how many installed versions each
+    worker retains — 2 lets queries routed just before a publish finish
+    against the version they were routed under.  ``vector_cache_size``
+    bounds the router's per-version query-vector LRU.
+    ``request_timeout`` bounds each worker request (and a worker's wait
+    for its IVF build); ``stop_timeout`` bounds each worker's
+    graceful-stop wait before escalation (close/rebalance stop workers
+    concurrently, so a hung worker costs one timeout, not one per
+    worker).
     """
 
-    default_k: int = 10
-    metric: str = "dot"
-    block_size: int = 8192
-    cache_size: int = 4096
-    index: str = "exact"
-    ann: IvfConfig | None = None
     keep_versions: int = 2
     vector_cache_size: int = 4096
     request_timeout: float = 60.0
@@ -595,23 +563,7 @@ class ShardedServingConfig:
     stop_timeout: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.default_k < 1:
-            raise ServingError(
-                f"default_k must be >= 1, got {self.default_k}")
-        if self.metric not in METRIC_CHOICES:
-            raise ServingError(
-                f"unknown metric {self.metric!r}; options: "
-                f"{list(METRIC_CHOICES)}")
-        if self.block_size < 1:
-            raise ServingError(
-                f"block_size must be >= 1, got {self.block_size}")
-        if self.cache_size < 0:
-            raise ServingError(
-                f"cache_size must be >= 0, got {self.cache_size}")
-        if self.index not in INDEX_CHOICES:
-            raise ServingError(
-                f"unknown index {self.index!r}; options: "
-                f"{list(INDEX_CHOICES)}")
+        super().__post_init__()
         if self.keep_versions < 1:
             raise ServingError(
                 f"keep_versions must be >= 1, got {self.keep_versions}")
@@ -629,6 +581,12 @@ class ShardedServingConfig:
         if self.stop_timeout <= 0:
             raise ServingError(
                 f"stop_timeout must be > 0, got {self.stop_timeout}")
+        if self.ann is not None and self.index != "ivf":
+            # The router's top_k takes no per-query mode, so an IVF
+            # index beside an exact default could never serve a query.
+            raise ServingError(
+                "ann needs index='ivf' on the sharded tier, got "
+                f"index={self.index!r}")
 
 
 @dataclass(frozen=True)
@@ -763,22 +721,14 @@ class ShardedFrontend:
             OrderedDict())
 
     # ------------------------------------------------------------------
-    def _worker_config(self) -> _WorkerConfig:
-        cfg = self.config
-        return _WorkerConfig(
-            metric=cfg.metric, block_size=cfg.block_size,
-            cache_size=cfg.cache_size, index=cfg.index, ann=cfg.ann,
-            keep_versions=cfg.keep_versions,
-        )
-
     def _spawn_worker(self, plan: ShardPlan, shard_id: int, replica: int,
-                      worker_cfg: _WorkerConfig, epoch: int,
-                      fault_plan=None, attempt: int = 0) -> EmbeddingShard:
+                      epoch: int, fault_plan=None,
+                      attempt: int = 0) -> EmbeddingShard:
         """Fork one shard worker and wrap it in a router-side client."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_shard_worker_main,
-            args=(child_conn, shard_id, plan, worker_cfg, fault_plan,
+            args=(child_conn, shard_id, plan, self.config, fault_plan,
                   attempt),
             daemon=True,
             name=f"embedding-shard-e{epoch}-{shard_id}.{replica}",
@@ -793,7 +743,6 @@ class ShardedFrontend:
 
     def _spawn_table(self, plan: ShardPlan) -> _RoutingTable:
         """Fork ``num_shards x replication_factor`` workers for ``plan``."""
-        worker_cfg = self._worker_config()
         # Start the parent's shared-memory resource tracker *before*
         # forking, so every worker inherits it.  A worker forked first
         # would lazily start a private tracker at its first publish
@@ -805,8 +754,7 @@ class ShardedFrontend:
         groups: list[list[EmbeddingShard]] = []
         for shard_id in range(plan.num_shards):
             groups.append([
-                self._spawn_worker(plan, shard_id, replica, worker_cfg,
-                                   epoch)
+                self._spawn_worker(plan, shard_id, replica, epoch)
                 for replica in range(self.config.replication_factor)
             ])
         return _RoutingTable(plan, groups)
@@ -1007,8 +955,8 @@ class ShardedFrontend:
                 return False
             resource_tracker.ensure_running()
             client = self._spawn_worker(
-                table.plan, shard_id, replica, self._worker_config(),
-                self._epoch, fault_plan, attempt)
+                table.plan, shard_id, replica, self._epoch, fault_plan,
+                attempt)
             try:
                 client.request("ping", None, timeout=timeout)
                 info = self._current

@@ -417,6 +417,19 @@ class TestSimPresets:
         assert captured.err.startswith("error: --")
         assert "input:" not in captured.out  # no embedding was built
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-batch-size", "1"), ("--max-delay-ms", "5"),
+    ])
+    def test_local_tier_flags_fail_on_the_sharded_tier(self, flag, value,
+                                                       capsys):
+        code = main(["serve-sim", "--nodes", "60", "--edges", "400",
+                     "--shards", "2", flag, value, *self.TINY])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} needs the local tier " \
+                               "(--shards 1)\n"
+        assert "input:" not in captured.out  # no embedding was built
+
     def test_serve_sim_ingests_through_the_stream_controller(self, tmp_path):
         import json
 

@@ -229,6 +229,94 @@ class TestOracleBitIdenticality:
         assert recorder.counters.get("serving.shard.cache_hits", 0) >= 1
 
 
+class TestOneEngine:
+    """Shard workers serve through the in-process engine: the same
+    ``serving.index.*``/``serving.ann.*`` counters, LRU and IVF
+    fallback rule as :class:`RecommendationIndex`."""
+
+    def test_ivf_tier_reports_ann_counters_from_workers(self):
+        rng = np.random.default_rng(50)
+        matrix = rng.standard_normal((800, 8))
+        config = ShardedServingConfig(
+            index="ivf", cache_size=0,
+            ann=IvfConfig(nlist=8, nprobe=2, min_index_nodes=32,
+                          recall_sample_every=2),
+        )
+        with sharded(ShardPlan(2, "hash"), make_store(matrix),
+                     config) as frontend:
+            for node in range(10):
+                frontend.top_k(node, 5)
+            counters = frontend.worker_metrics()["counters"]
+        assert counters.get("serving.ann.builds", 0) == 2  # one per shard
+        assert counters.get("serving.ann.queries", 0) > 0
+        assert counters.get("serving.ann.recall_samples", 0) > 0
+
+    def test_repeated_queries_hit_the_worker_index_cache(self):
+        rng = np.random.default_rng(51)
+        matrix = rng.standard_normal((100, 8))
+        recorder = Recorder()
+        with use_recorder(recorder):
+            with sharded(ShardPlan(2, "hash"), make_store(matrix),
+                         ShardedServingConfig(cache_size=16)) as frontend:
+                for _ in range(3):
+                    frontend.top_k(7, 5)
+                counters = frontend.worker_metrics()["counters"]
+        # First query misses on both shards, the two repeats hit.
+        assert counters.get("serving.index.cache_misses", 0) == 2
+        assert counters.get("serving.index.cache_hits", 0) == 4
+        assert recorder.counters.get("serving.shard.cache_hits", 0) == 4
+
+    def test_remote_ivf_query_short_of_candidates_falls_back_exactly(self):
+        rng = np.random.default_rng(52)
+        matrix = rng.standard_normal((600, 8))
+        oracle = oracle_for(matrix)
+        # One probed cell of ~15 rows cannot fill k = 100 on either
+        # shard; node 0 lives on shard 0, so shard 1 scores it remotely.
+        config = ShardedServingConfig(
+            index="ivf", cache_size=0,
+            ann=IvfConfig(nlist=20, nprobe=1, min_index_nodes=32),
+        )
+        with sharded(ShardPlan(2, "range"), make_store(matrix),
+                     config) as frontend:
+            ids, scores = frontend.top_k(0, 100)
+            counters = frontend.worker_metrics()["counters"]
+        expected_ids, expected_scores = oracle.top_k(0, 100)
+        np.testing.assert_array_equal(ids, expected_ids)
+        np.testing.assert_array_equal(scores, expected_scores)
+        assert counters.get(
+            "serving.ann.fallbacks.insufficient_candidates", 0) == 2
+        assert "serving.ann.queries" not in counters
+
+    def test_failed_worker_ivf_build_fails_the_install_at_once(
+            self, monkeypatch):
+        import time
+
+        from repro.serving import ann
+
+        def broken_build(*args, **kwargs):
+            raise RuntimeError("k-means diverged")
+
+        # Workers fork after the patch, so their builds raise too.
+        monkeypatch.setattr(ann.IvfIndex, "build", broken_build)
+        rng = np.random.default_rng(53)
+        matrix = rng.standard_normal((200, 8))
+        config = ShardedServingConfig(
+            index="ivf", request_timeout=30.0,
+            ann=IvfConfig(nlist=4, nprobe=1, min_index_nodes=32),
+        )
+        with ShardedFrontend(ShardPlan(2, "range"), config) as frontend:
+            start = time.perf_counter()
+            with pytest.raises(ServingError, match="IVF build"):
+                ShardedPublisher(frontend).publish(matrix)
+            assert time.perf_counter() - start < 10.0
+            counters = frontend.worker_metrics()["counters"]
+        assert counters.get("serving.ann.build_errors", 0) == 2
+
+    def test_ann_without_ivf_index_is_rejected(self):
+        with pytest.raises(ServingError, match="index='ivf'"):
+            ShardedServingConfig(ann=IvfConfig())
+
+
 class TestVersionAtomicity:
     def test_publish_bumps_version_and_serves_new_matrix(self):
         rng = np.random.default_rng(20)
